@@ -31,7 +31,7 @@ from . import simulate as sim
 from .charfun import CharFun, ComplexPoly, build_charfun
 from .kernels import kernel_from_dict
 from .regions import nu_map, stability_region, trace_covering
-from .scc import polar_profile, trace
+from .scc import trace
 
 
 class ConfigError(ValueError):
@@ -216,7 +216,6 @@ def cmd_scc(config: dict, out: Path, args) -> List[str]:
     branches = trace(F, b["lo"], b["hi"], b["step"], window=window)
     outputs = []
     for i, br in enumerate(branches):
-        polar_profile(br)
         name = f"branch_{i:03d}.csv"
         dio.write_branch_csv(out / name, br)
         outputs.append(name)

@@ -390,15 +390,9 @@ def stability_region(numap: NuMap) -> List[StabilityComponent]:
             or np.any(cells[:, 1] == 0)
             or np.any(cells[:, 1] == nx - 1)
         )
-        cs = xs[cells[:, 1]] + 1j * ys[cells[:, 0]]
         polylines = []
         for br in numap.branches:
-            near = np.zeros(len(br.L), dtype=bool)
-            block = 2048
-            for s in range(0, len(br.L), block):
-                e = min(s + block, len(br.L))
-                dmin = np.min(np.abs(br.L[s:e, None] - cs[None, :]), axis=1)
-                near[s:e] = dmin <= 1.5 * cell_diag
+            near = _near_cells(br.L, comp == cid, xs, ys, (re_lo, im_lo, dx, dy), 1.5 * cell_diag)
             if not near.any():
                 continue
             runs = np.split(np.arange(len(near)), np.nonzero(np.diff(near))[0] + 1)
@@ -407,6 +401,36 @@ def stability_region(numap: NuMap) -> List[StabilityComponent]:
                     polylines.append(br.L[run].copy())
         out.append(StabilityComponent(cells=cells, clipped=clipped, boundary=polylines))
     return out
+
+
+def _near_cells(L: np.ndarray, inside: np.ndarray, xs, ys, grid, reach: float) -> np.ndarray:
+    """Whether each gain in ``L`` lies within ``reach`` of a center of an ``inside`` cell.
+
+    Only the grid neighbourhood of each gain is searched: cells within
+    ceil(reach / dx) + 1 columns and ceil(reach / dy) + 1 rows of its nearest
+    cell, a superset of the cells whose centers can lie within ``reach``.
+    Memory stays O(block) instead of O(nodes x cells).
+    """
+    re_lo, im_lo, dx, dy = grid
+    ny, nx = inside.shape
+    rx = int(np.ceil(reach / dx)) + 1
+    ry = int(np.ceil(reach / dy)) + 1
+    ox, oy = (o.ravel() for o in np.meshgrid(np.arange(-rx, rx + 1), np.arange(-ry, ry + 1)))
+    cx = np.rint((L.real - re_lo) / dx - 0.5)
+    cy = np.rint((L.imag - im_lo) / dy - 0.5)
+    nodes = np.nonzero((cx >= -rx) & (cx < nx + rx) & (cy >= -ry) & (cy < ny + ry))[0]
+    near = np.zeros(len(L), dtype=bool)
+    block = max(1, 65536 // len(ox))
+    for s in range(0, len(nodes), block):
+        sel = nodes[s : s + block]
+        ix = cx[sel, None].astype(np.intp) + ox
+        iy = cy[sel, None].astype(np.intp) + oy
+        ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+        ix, iy = np.clip(ix, 0, nx - 1), np.clip(iy, 0, ny - 1)
+        ok &= inside[iy, ix]
+        d = np.abs(L[sel, None] - (xs[ix] + 1j * ys[iy]))
+        near[sel] = np.any(ok & (d <= reach), axis=1)
+    return near
 
 
 def trace_covering(

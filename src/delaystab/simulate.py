@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -121,13 +122,31 @@ def _history_values(history: Optional[HistorySpec], default: HistorySpec, shape,
     raise TypeError(f"not a history spec: {h!r}")
 
 
-def _integrate(f, y0: np.ndarray, dt: float, n_steps: int, blowup: float):
-    """Fixed-step RK4 on y' = f(t, y); truncates when the guard trips."""
+def _switch_step(switch, dt: float) -> Tuple[float, object]:
+    """(first step on the new field, new field) of a ``switch = (t_on, f_on)``.
+
+    The field changes at a step boundary, never inside a step, so RK4 keeps
+    its order across the switch; an off-grid ``t_on`` snaps to the next step.
+    """
+    if switch is None:
+        return math.inf, None
+    t_on, f_on = switch
+    return max(0, math.ceil(t_on / dt - 1e-9)), f_on
+
+
+def _integrate(f, y0: np.ndarray, dt: float, n_steps: int, blowup: float, switch=None):
+    """Fixed-step RK4 on y' = f(t, y); truncates when the guard trips.
+
+    ``switch = (t_on, f_on)`` integrates with f_on from t_on on.
+    """
+    k_on, f_on = _switch_step(switch, dt)
     y = np.array(y0)
     out = np.empty((n_steps + 1,) + y.shape, dtype=y.dtype)
     out[0] = y
     for k in range(n_steps):
         t = k * dt
+        if k == k_on:
+            f = f_on
         k1 = f(t, y)
         k2 = f(t + dt / 2, y + dt / 2 * k1)
         k3 = f(t + dt / 2, y + dt / 2 * k2)
@@ -147,13 +166,15 @@ def _delay_steps(tau: float, dt_req: float) -> Tuple[float, int]:
     return tau / m, m
 
 
-def _integrate_dde(f, y0: np.ndarray, tau: float, cfg: SimConfig, history_value: np.ndarray):
+def _integrate_dde(f, y0: np.ndarray, tau: float, cfg: SimConfig, history_value: np.ndarray, switch=None):
     """Method of steps for y' = f(t, y, y(t - tau)) with constant pre-history.
 
     Delayed stage values use cubic Hermite interpolation between stored
     nodes (value and derivative), which keeps the integrator at full order.
+    ``switch = (t_on, f_on)`` integrates with f_on from t_on on.
     """
     dt, m = _delay_steps(tau, cfg.dt)
+    k_on, f_on = _switch_step(switch, dt)
     n_steps = int(math.ceil(cfg.horizon / dt - 1e-9))
     shape = y0.shape
     Y = np.zeros((m + n_steps + 1,) + shape, dtype=y0.dtype)
@@ -165,16 +186,22 @@ def _integrate_dde(f, y0: np.ndarray, tau: float, cfg: SimConfig, history_value:
     def hermite_mid(i):
         # value at midpoint of nodes i, i+1; intervals ending at or before
         # t = 0 are frozen history (the stored derivative at node `off` is
-        # the post-jump value and must not leak into the history side)
+        # the post-jump value and must not leak into the history side); the
+        # interval ending at the switch node takes the old field's derivative
         if i + 1 <= off:
             return Y[i]
-        return 0.5 * (Y[i] + Y[i + 1]) + 0.125 * dt * (D[i] - D[i + 1])
+        d1 = d_left if i + 1 == off + k_on else D[i + 1]
+        return 0.5 * (Y[i] + Y[i + 1]) + 0.125 * dt * (D[i] - d1)
 
     blow = None
+    d_left = None
     for k in range(n_steps):
         t = k * dt
         y = Y[off + k]
         zd0 = Y[off + k - m]
+        if k == k_on:
+            d_left = f(t, y, zd0)
+            f = f_on
         k1 = f(t, y, zd0)
         D[off + k] = k1
         zdm = hermite_mid(off + k - m)
@@ -575,7 +602,8 @@ def simulate_kuramoto(
     Pairwise delays are quantized to the step grid with a floor of one
     step; samples beyond the 99.9th percentile of the sampler are redrawn
     and counted.  The feedback is off before ``control_on``; delayed phase
-    lookups reaching before t = 0 use the initial phases frozen.
+    lookups reaching before t = 0 use the initial phases frozen.  The phase
+    history is a window of O(max delay x N) values, not O(horizon x N).
     """
     if N < 2:
         raise ValueError("need at least two oscillators")
@@ -609,15 +637,43 @@ def simulate_kuramoto(
         raise ValueError(f"unknown delay sampler: {kind!r}")
 
     n_steps = int(math.ceil(cfg.horizon / dt - 1e-9))
-    TH = np.empty((n_steps + 1, N))
-    TH[0] = theta
-    # phase exponentials are kept alongside the raw phases so the delayed
-    # pairwise field is a pure gather (no N^2 exp per step)
-    EH = np.empty((n_steps + 1, N), dtype=complex)
-    EH[0] = np.exp(1j * theta)
+    r_series, snap_times, snaps = _kuramoto_run(
+        theta, omega, M, K, C, S, dt, n_steps, control_on, snapshot_every
+    )
+
+    times = np.arange(n_steps + 1) * dt
+    return KuramotoResult(
+        times=times,
+        r=r_series,
+        phase_times=np.asarray(snap_times),
+        phases=np.asarray(snaps) if snaps else np.zeros((0, N)),
+        truncated_fraction=truncated_fraction,
+        resampled_delays=resampled,
+    )
+
+
+def _kuramoto_run(theta, omega, M, K, C, S, dt, n_steps, control_on, snapshot_every):
+    """RK4 run of the population; returns (r series, snapshot times, snapshots).
+
+    The phase exponentials live in a window of 2(P + 1) rows, P the largest
+    delay in steps capped at ``n_steps``: row P + s - base holds step s.  The
+    first P + 1 rows start at the initial phases, so lookups reaching before
+    t = 0 read them frozen; when the window is full its last P rows (all a
+    lookup can still reach) move to the front.  The delayed field is then
+    one flat gather: pair (i, j) at step k reads element (k - base) N +
+    B[i, j] of the flattened window, with B = (P - M[i, j]) N + j.
+    """
+    N = len(theta)
+    P = int(min(M.max(), n_steps))
+    W = 2 * (P + 1)
+    EH = np.empty((W, N), dtype=complex)
+    EH[: P + 1] = np.exp(1j * theta)
+    flat = EH.ravel()
+    B = (P - np.minimum(M, P)) * N + np.arange(N)
+    E = np.empty((N, N), dtype=complex)
+    base = 0
     r_series = np.empty(n_steps + 1, dtype=complex)
-    r_series[0] = EH[0].mean()
-    cols = np.broadcast_to(np.arange(N)[None, :], (N, N))
+    r_series[0] = EH[P].mean()
 
     snaps = []
     snap_times = []
@@ -625,12 +681,12 @@ def simulate_kuramoto(
         snaps.append(theta.copy())
         snap_times.append(0.0)
 
+    th = theta
     for k in range(n_steps):
         t = k * dt
-        th = TH[k]
         if t >= control_on - 1e-12:
-            idx = np.maximum(k - M, 0)
-            E = EH[idx, cols]
+            # every index is in range, so "clip" only skips the bounds check
+            np.take(flat[(k - base) * N :], B, out=E, mode="clip")
             eta = (E.sum(axis=1) - np.diagonal(E)) / N
         else:
             eta = None
@@ -647,22 +703,18 @@ def simulate_kuramoto(
         k2 = rhs(th + dt / 2 * k1)
         k3 = rhs(th + dt / 2 * k2)
         k4 = rhs(th + dt * k3)
-        TH[k + 1] = th + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        EH[k + 1] = np.exp(1j * TH[k + 1])
-        r_series[k + 1] = EH[k + 1].mean()
+        th = th + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        row = P + k + 1 - base
+        if row == W:
+            EH[:P] = EH[W - P :]
+            base += P + 2
+            row = P
+        EH[row] = np.exp(1j * th)
+        r_series[k + 1] = EH[row].mean()
         if snapshot_every > 0 and (k + 1) % snapshot_every == 0:
-            snaps.append(TH[k + 1].copy())
+            snaps.append(th)
             snap_times.append((k + 1) * dt)
-
-    times = np.arange(n_steps + 1) * dt
-    return KuramotoResult(
-        times=times,
-        r=r_series,
-        phase_times=np.asarray(snap_times),
-        phases=np.asarray(snaps) if snaps else np.zeros((0, N)),
-        truncated_fraction=truncated_fraction,
-        resampled_delays=resampled,
-    )
+    return r_series, snap_times, snaps
 
 
 def simulate_oa(
@@ -680,8 +732,10 @@ def simulate_oa(
     rdot = (K/2 - 1 + i d) r + L eta - (K/2)|r|^2 r - conj(L) r^2 conj(eta),
     where eta is the kernel-delayed order parameter.  Supports a point
     delay (method of steps) and an exponential delay (chain realization).
-    The feedback terms switch on at ``control_on`` when given.  |r| > 10 is
-    unphysical and trips the blow-up marker.
+    The feedback terms switch on at ``control_on`` when given, at a step
+    boundary: an off-grid ``control_on`` snaps to the next step, as in
+    ``simulate_kuramoto``.  |r| > 10 is unphysical and trips the blow-up
+    marker.
     """
     lin = complex(K / 2.0 - 1.0, d)
     L = complex(L)
@@ -694,19 +748,21 @@ def simulate_oa(
         blowup_threshold=10.0,
     )
 
-    def gain(t: float) -> complex:
-        if control_on is None or t >= control_on - 1e-12:
-            return L
-        return 0.0 + 0.0j
+    def switched(rhs):
+        # feedback off until the step that starts at control_on (snapped up
+        # to the step grid), on from there; one field per RK4 step
+        if control_on is None:
+            return rhs, None
+        return partial(rhs, Lt=0j), (control_on, rhs)
 
     if isinstance(kernel, Dirac):
         z0 = np.array([r0], dtype=complex)
 
-        def rhs(t, r, rd):
-            Lt = gain(t)
+        def rhs(t, r, rd, Lt=L):
             return lin * r + Lt * rd - (K / 2.0) * np.abs(r) ** 2 * r - np.conj(Lt) * r**2 * np.conj(rd)
 
-        return _integrate_dde(rhs, z0, kernel.tau, cfg_oa, z0)
+        f, switch = switched(rhs)
+        return _integrate_dde(f, z0, kernel.tau, cfg_oa, z0, switch)
 
     if isinstance(kernel, (Exponential, Gamma)):
         if isinstance(kernel, Gamma) and kernel.n != 1:
@@ -714,14 +770,14 @@ def simulate_oa(
         T = kernel.T
         y0 = np.array([r0, r0], dtype=complex)
 
-        def rhs2(t, y):
+        def rhs2(t, y, Lt=L):
             r, eta = y[0], y[1]
-            Lt = gain(t)
             dr = lin * r + Lt * eta - (K / 2.0) * np.abs(r) ** 2 * r - np.conj(Lt) * r**2 * np.conj(eta)
             return np.array([dr, (r - eta) / T])
 
+        f, switch = switched(rhs2)
         n_steps = int(math.ceil(cfg.horizon / cfg.dt - 1e-9))
-        states, blow = _integrate(rhs2, y0, cfg.dt, n_steps, 10.0)
+        states, blow = _integrate(f, y0, cfg.dt, n_steps, 10.0, switch)
         times = np.arange(states.shape[0]) * cfg.dt
         return Trajectory(times=times, states=states[:, :1], blowup=blow)
 

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -163,3 +166,74 @@ def test_coverage_warning():
     branches = trace(F, -2.0, 2.0, 0.05)  # far too narrow for this window
     with pytest.warns(UserWarning):
         nu_map(F, (-4.0, 4.0, -4.0, 4.0), (15, 15), branches)
+
+
+def _brute_force_regions(numap):
+    """Bordering polylines from every node-to-cell distance of each component."""
+    nx, ny = numap.resolution
+    re_lo, re_hi, im_lo, im_hi = numap.window
+    cell_diag = np.hypot((re_hi - re_lo) / nx, (im_hi - im_lo) / ny)
+    xs, ys = numap.cell_centers()
+    comp = numap.component_ids
+    out = []
+    for cid in np.unique(comp[comp >= 0]):
+        cells = np.argwhere(comp == cid)
+        if numap.labels[cells[0][0], cells[0][1]] != 0:
+            continue
+        cs = xs[cells[:, 1]] + 1j * ys[cells[:, 0]]
+        polylines = []
+        for br in numap.branches:
+            near = np.array([np.min(np.abs(L - cs)) <= 1.5 * cell_diag for L in br.L])
+            runs = np.split(np.arange(len(near)), np.nonzero(np.diff(near))[0] + 1)
+            polylines += [br.L[run] for run in runs if near[run[0]] and len(run) >= 2]
+        out.append((cells, polylines))
+    return out
+
+
+# the eight oracle-equivalence systems of the acceptance suite
+ORACLE_CASES = [
+    (presets.growth_with_feedback(), (-4.0, 4.0, -4.0, 4.0)),
+    (presets.drift_difference_coupling(), (-1.0, 1.0, -1.0, 1.0)),
+    (presets.scalar_discrete(1.0, 0.0, 0.5), (-3.5, 0.5, -2.0, 2.0)),
+    (presets.scalar_discrete(1.0, 0.0, 1.5), (-3.0, 3.0, -3.0, 3.0)),
+    (presets.scalar_gamma(1.0, 1, 0.5), (-6.0, 2.0, -4.0, 4.0)),
+    (presets.scalar_gamma(1.0, 1, 1.5), (-4.0, 4.0, -4.0, 4.0)),
+    (presets.scalar_gamma(1.0, 2, 0.5), (-7.0, 3.0, -5.0, 5.0)),
+    (presets.scalar_gamma(1.0, 2, 1.5), (-4.0, 4.0, -4.0, 4.0)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_stability_region_polylines_match_brute_force(case):
+    F, window = ORACLE_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        branches = trace_covering(F, window)
+    m = nu_map(F, window, (41, 41), branches)
+    regs = stability_region(m)
+    ref = _brute_force_regions(m)
+    assert len(regs) == len(ref)
+    for reg, (cells, polylines) in zip(regs, ref):
+        assert np.array_equal(reg.cells, cells)
+        assert len(reg.boundary) == len(polylines)
+        for got, want in zip(reg.boundary, polylines):
+            assert np.array_equal(got, want)
+
+
+def test_stability_region_memory_bounded():
+    # one NU = 0 component of 16074 cells against about 6000 branch nodes;
+    # a nodes x cells distance block per branch peaked near 800 MB here
+    F = presets.pd_agent_mode(1.0, 1.0, 1.0, 1.1, 0.3)
+    window = (-6.0, 1.0, -3.0, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        branches = trace_covering(F, window, step=0.01, refine_frac=0.002)
+    m = nu_map(F, window, (141, 601), branches)
+    tracemalloc.start()
+    try:
+        regs = stability_region(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(regs) == 1 and regs[0].boundary
+    assert peak < 100e6

@@ -1,11 +1,15 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from delaystab import networks as nw
 from delaystab import presets
 from delaystab import simulate as sim
+from delaystab.cli import main as cli_main
 from delaystab.kernels import Dirac, Exponential, Gamma
 from delaystab.regions import membership
 
@@ -220,6 +224,145 @@ def test_kuramoto_snapshots():
     res = sim.simulate_kuramoto(30, 2.0, 0.0, 0.0, 0.0, ("constant", 0.2), cfg, seed=1, snapshot_every=20)
     assert res.phases.shape == (len(res.phase_times), 30)
     assert res.phase_times[0] == 0.0
+
+
+def _reference_kuramoto_run(theta, omega, M, K, C, S, dt, n_steps, control_on, snapshot_every):
+    """The plain loop: full (n_steps + 1) x N histories and a 2-D clamped gather."""
+    N = len(theta)
+    TH = np.empty((n_steps + 1, N))
+    TH[0] = theta
+    EH = np.empty((n_steps + 1, N), dtype=complex)
+    EH[0] = np.exp(1j * theta)
+    r_series = np.empty(n_steps + 1, dtype=complex)
+    r_series[0] = EH[0].mean()
+    cols = np.broadcast_to(np.arange(N)[None, :], (N, N))
+    snaps, snap_times = [], []
+    if snapshot_every > 0:
+        snaps.append(theta.copy())
+        snap_times.append(0.0)
+    for k in range(n_steps):
+        t = k * dt
+        th = TH[k]
+        if t >= control_on - 1e-12:
+            E = EH[np.maximum(k - M, 0), cols]
+            eta = (E.sum(axis=1) - np.diagonal(E)) / N
+        else:
+            eta = None
+
+        def rhs(phase):
+            rr = np.mean(np.exp(1j * phase))
+            dth = omega + K * np.imag(rr * np.exp(-1j * phase))
+            if eta is not None:
+                w = eta * np.exp(-1j * phase)
+                dth = dth + C * np.imag(w) + S * np.real(w)
+            return dth
+
+        k1 = rhs(th)
+        k2 = rhs(th + dt / 2 * k1)
+        k3 = rhs(th + dt / 2 * k2)
+        k4 = rhs(th + dt * k3)
+        TH[k + 1] = th + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        EH[k + 1] = np.exp(1j * TH[k + 1])
+        r_series[k + 1] = EH[k + 1].mean()
+        if snapshot_every > 0 and (k + 1) % snapshot_every == 0:
+            snaps.append(TH[k + 1].copy())
+            snap_times.append((k + 1) * dt)
+    return r_series, snap_times, snaps
+
+
+# the 50 s constant delay outlasts the 8 s horizon, so the window is capped
+# at n_steps; the others move the window several times
+@pytest.mark.parametrize("delays", [("constant", 0.3), ("exponential", 0.5), ("constant", 50.0)])
+@pytest.mark.parametrize("control_on", [0.0, 0.3, 1e9])
+@pytest.mark.parametrize("snapshot_every", [0, 7])
+def test_kuramoto_window_matches_reference_loop(monkeypatch, delays, control_on, snapshot_every):
+    cfg = sim.SimConfig(dt=0.01, horizon=8.0)
+
+    def run():
+        return sim.simulate_kuramoto(40, 4.0, -4.0, 1.0, 0.3, delays, cfg, seed=3,
+                                     control_on=control_on, snapshot_every=snapshot_every)
+
+    new = run()
+    monkeypatch.setattr(sim, "_kuramoto_run", _reference_kuramoto_run)
+    ref = run()
+    assert np.array_equal(new.r, ref.r)
+    assert np.array_equal(new.phases, ref.phases)
+    assert np.array_equal(new.phase_times, ref.phase_times)
+
+
+def test_kuramoto_history_memory_bounded_by_delay():
+    # 10000 steps of N = 40 with a 5-step delay: (n_steps + 1) x N phase
+    # histories would take 9.6 MB, the 12-row window under 8 kB
+    cfg = sim.SimConfig(dt=0.01, horizon=100.0)
+    tracemalloc.start()
+    try:
+        sim.simulate_kuramoto(40, 4.0, -4.0, 1.0, 0.0, ("constant", 0.05), cfg, seed=1, control_on=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
+def test_fig16_series_csvs_match_reference_loop(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "fig16.json"
+    cfg_path.write_text(json.dumps({"figure": "fig16-series", "case": "a", "N": 40, "horizon": 12.0}))
+
+    def run(name):
+        assert cli_main(["reproduce", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+        return tmp_path / name
+
+    new = run("new")
+    monkeypatch.setattr(sim, "_kuramoto_run", _reference_kuramoto_run)
+    ref = run("ref")
+    for name in ("order_parameter.csv", "phase_snapshots.csv"):
+        assert (new / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_oa_control_switch_keeps_fourth_order():
+    # the feedback switches on at t = 10; the reference integrates the two
+    # smooth pieces separately
+    K, L, T, t_on, horizon = 4.0, -8.0 + 1.0j, 0.5, 10.0, 20.0
+    lin = complex(K / 2.0 - 1.0, 0.0)
+
+    def field(Lt):
+        def rhs(t, y):
+            r, eta = y
+            dr = lin * r + Lt * eta - (K / 2.0) * abs(r) ** 2 * r - np.conj(Lt) * r**2 * np.conj(eta)
+            return [dr, (r - eta) / T]
+
+        return rhs
+
+    def reference(times):
+        tol = dict(method="DOP853", rtol=1e-11, atol=1e-14)
+        pre = times <= t_on
+        a = solve_ivp(field(0j), (0.0, t_on), [0.1 + 0j, 0.1 + 0j], t_eval=times[pre], dense_output=True, **tol)
+        b = solve_ivp(field(L), (t_on, horizon), a.sol(t_on), t_eval=times[~pre], **tol)
+        return np.concatenate([a.y[0], b.y[0]])
+
+    errs = []
+    for dt in (0.01, 0.005, 0.0025):
+        cfg = sim.SimConfig(dt=dt, horizon=horizon)
+        traj = sim.simulate_oa(K, 0.0, L, Exponential(T), cfg, control_on=t_on)
+        errs.append(np.max(np.abs(np.abs(traj.states[:, 0]) - np.abs(reference(traj.times)))))
+    assert errs[0] / errs[1] >= 8.0
+    assert errs[1] / errs[2] >= 8.0
+
+
+def test_oa_dirac_control_switch_self_converges():
+    def final(dt):
+        cfg = sim.SimConfig(dt=dt, horizon=12.0)
+        return sim.simulate_oa(4.0, 0.0, -1.0 + 0.5j, Dirac(0.5), cfg, r0=0.3, control_on=10.0).states[-1, 0]
+
+    e1 = abs(final(0.01) - final(0.005))
+    e2 = abs(final(0.005) - final(0.0025))
+    assert e1 / e2 >= 8.0
+
+
+def test_oa_off_grid_switch_snaps_to_next_step():
+    cfg = sim.SimConfig(dt=0.01, horizon=3.0)
+    on_grid = sim.simulate_oa(4.0, 0.0, -8.0 + 1.0j, Exponential(0.5), cfg, control_on=1.01)
+    off_grid = sim.simulate_oa(4.0, 0.0, -8.0 + 1.0j, Exponential(0.5), cfg, control_on=1.004)
+    assert np.array_equal(on_grid.states, off_grid.states)
 
 
 def test_oa_fixed_point():
