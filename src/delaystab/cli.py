@@ -270,9 +270,9 @@ def cmd_simulate(config: dict, out: Path, args) -> List[str]:
     outputs = []
 
     def ship(traj, rate=None):
+        est = rate if rate is not None else sim.estimate_rate(traj, cfg)
         dio.write_trajectory_csv(out / "trajectory.csv", traj)
         outputs.append("trajectory.csv")
-        est = rate if rate is not None else sim.estimate_rate(traj, cfg)
         (out / "rate.json").write_text(
             json.dumps(
                 {"rate": est.rate, "r_squared": est.r_squared, "verdict": est.verdict, "note": est.note},
@@ -322,6 +322,11 @@ def cmd_simulate(config: dict, out: Path, args) -> List[str]:
             ship(traj)
     except KeyError as e:
         raise ConfigError(f"simulate/{model} missing parameter {e}")
+    except ValueError as e:
+        # each ValueError on this path rejects a parameter value: a kernel,
+        # network or delay out of range, or a horizon too short for the
+        # rate fit window (raised before any file is written)
+        raise ConfigError(f"simulate/{model}: {e}")
     return outputs
 
 

@@ -1,13 +1,14 @@
 """Time-domain integration of the delay systems and rate estimation.
 
-Discrete delays use the method of steps: fixed-step classical Runge-Kutta
-with the step chosen to divide the delay, and delayed stage values from
-cubic Hermite interpolation of the stored nodes.  Gamma-distributed delays
-use the linear chain realization (a cascade of first-order stages whose
-last output reproduces the distributed term exactly).  The oscillator
-population keeps per-pair delayed phases in a quantized history table; its
-pairwise mean field is refreshed once per step and held across the stages,
-matching the cost model of one O(N^2) gather per step.
+Every run steps with one fixed-step classical RK4 driver, ``_rk4``, over a
+batch along axis 0 of the state; a single run is a batch of one of the
+sweep that shares its right-hand side.  A run with any state component
+non-finite or above the blow-up threshold freezes at its last state and is
+flagged, and the rest of the batch goes on unchanged.  Discrete delays use
+the method of steps with cubic Hermite interpolation of the stored nodes
+(Bellen & Zennaro, *Numerical Methods for Delay Differential Equations*,
+2003), Gamma delays the linear chain realization, and the oscillator
+population a window of delayed phase exponentials gathered once per step.
 
 Convergence or divergence of a trajectory is summarized by the slope of
 log-norm over the trailing window, the practical stand-in for the
@@ -17,7 +18,7 @@ asymptotic exponential rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Tuple, Union
 
@@ -112,50 +113,16 @@ class KuramotoResult:
 def _history_values(history: Optional[HistorySpec], default: HistorySpec, shape, dtype):
     h = history if history is not None else default
     if isinstance(h, ConstantHistory):
-        out = np.full(shape, h.value, dtype=dtype)
-        if dtype == float:
-            out = np.full(shape, complex(h.value).real, dtype=float)
-        return out
+        value = complex(h.value).real if dtype == float else h.value
+        return np.full(shape, value, dtype=dtype)
     if isinstance(h, UniformHistory):
         rng = np.random.default_rng(h.seed)
         return h.amplitude * rng.uniform(-1.0, 1.0, size=shape).astype(dtype)
     raise TypeError(f"not a history spec: {h!r}")
 
 
-def _switch_step(switch, dt: float) -> Tuple[float, object]:
-    """(first step on the new field, new field) of a ``switch = (t_on, f_on)``.
-
-    The field changes at a step boundary, never inside a step, so RK4 keeps
-    its order across the switch; an off-grid ``t_on`` snaps to the next step.
-    """
-    if switch is None:
-        return math.inf, None
-    t_on, f_on = switch
-    return max(0, math.ceil(t_on / dt - 1e-9)), f_on
-
-
-def _integrate(f, y0: np.ndarray, dt: float, n_steps: int, blowup: float, switch=None):
-    """Fixed-step RK4 on y' = f(t, y); truncates when the guard trips.
-
-    ``switch = (t_on, f_on)`` integrates with f_on from t_on on.
-    """
-    k_on, f_on = _switch_step(switch, dt)
-    y = np.array(y0)
-    out = np.empty((n_steps + 1,) + y.shape, dtype=y.dtype)
-    out[0] = y
-    for k in range(n_steps):
-        t = k * dt
-        if k == k_on:
-            f = f_on
-        k1 = f(t, y)
-        k2 = f(t + dt / 2, y + dt / 2 * k1)
-        k3 = f(t + dt / 2, y + dt / 2 * k2)
-        k4 = f(t + dt, y + dt * k3)
-        y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > blowup:
-            return out[: k + 1], (k + 1) * dt
-        out[k + 1] = y
-    return out, None
+def _n_steps(horizon: float, dt: float) -> int:
+    return int(math.ceil(horizon / dt - 1e-9))
 
 
 def _delay_steps(tau: float, dt_req: float) -> Tuple[float, int]:
@@ -166,119 +133,154 @@ def _delay_steps(tau: float, dt_req: float) -> Tuple[float, int]:
     return tau / m, m
 
 
-def _integrate_dde(f, y0: np.ndarray, tau: float, cfg: SimConfig, history_value: np.ndarray, switch=None):
-    """Method of steps for y' = f(t, y, y(t - tau)) with constant pre-history.
+_NO_LAG = ((), lambda k1: (), ())
 
-    Delayed stage values use cubic Hermite interpolation between stored
-    nodes (value and derivative), which keeps the integrator at full order.
-    ``switch = (t_on, f_on)`` integrates with f_on from t_on on.
+
+def _rk4_step(f, t, y, dt, lag=_NO_LAG):
+    """One classical RK4 step of y' = f(t, y, *z) from time t.
+
+    ``lag = (z0, mid, z1)`` holds the delayed arguments z at the start and
+    the end of the step, and ``mid(k1)`` gives them at its middle once the
+    first stage is known.  The default passes none: an ODE field f(t, y).
     """
-    dt, m = _delay_steps(tau, cfg.dt)
-    k_on, f_on = _switch_step(switch, dt)
-    n_steps = int(math.ceil(cfg.horizon / dt - 1e-9))
-    shape = y0.shape
-    Y = np.zeros((m + n_steps + 1,) + shape, dtype=y0.dtype)
-    D = np.zeros_like(Y)
-    Y[: m + 1] = history_value  # frozen history on [-tau, 0]
-    Y[m] = y0
-    off = m  # Y[off + k] is the state at t = k*dt
+    z0, mid, z1 = lag
+    k1 = f(t, y, *z0)
+    zm = mid(k1)
+    k2 = f(t + dt / 2, y + dt / 2 * k1, *zm)
+    k3 = f(t + dt / 2, y + dt / 2 * k2, *zm)
+    k4 = f(t + dt, y + dt * k3, *z1)
+    return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    def hermite_mid(i):
-        # value at midpoint of nodes i, i+1; intervals ending at or before
-        # t = 0 are frozen history (the stored derivative at node `off` is
-        # the post-jump value and must not leak into the history side); the
-        # interval ending at the switch node takes the old field's derivative
-        if i + 1 <= off:
-            return Y[i]
-        d1 = d_left if i + 1 == off + k_on else D[i + 1]
-        return 0.5 * (Y[i] + Y[i + 1]) + 0.125 * dt * (D[i] - d1)
 
-    blow = None
-    d_left = None
+def _rk4(f, y0, dt, n_steps, blowup, observe, delay=None, switch=None):
+    """Fixed-step RK4 on a batch of runs, one per entry along axis 0 of ``y0``.
+
+    Integrates y' = f(t, y), or, given ``delay`` in steps, y' = f(t, y, z)
+    with z = y(t - delay * dt) by the method of steps: z at a half step is
+    the cubic Hermite interpolant of the stored nodes, and the history
+    before t = 0 stays frozen at y0.  ``switch = (t_on, f_on)`` integrates
+    with f_on from the first step starting at or after t_on: the field
+    changes at a step boundary, so RK4 keeps its order, and an off-grid t_on
+    snaps to the next step.  The Hermite interpolant on the interval ending
+    at the switch node uses the old field's derivative there.
+
+    A column whose state has any component non-finite or above ``blowup``
+    freezes at its last state.  Returns ``(obs, blow)``: ``obs[k]`` is
+    ``observe(y)`` at step k = 0..n_steps and ``blow[j]`` the step at which
+    column j blew up, -1 if it did not.  Once every column has blown up the
+    run stops and the remaining rows repeat the last observation.
+    """
+    k_on = -1
+    if switch is not None:
+        t_on, f_on = switch
+        k_on = max(0, math.ceil(t_on / dt - 1e-9))
+    y = np.asarray(y0)
+    B = len(y)
+    col = (B,) + (1,) * (y.ndim - 1)
+    alive = np.ones(B, dtype=bool)
+    blow = np.full(B, -1)
+    first = np.asarray(observe(y))
+    obs = np.empty((n_steps + 1,) + first.shape, dtype=first.dtype)
+    obs[0] = first
+    lag = _NO_LAG
+    if delay is not None:
+        # ring over the nodes k - delay .. k + 1 of step k: node j in row j mod R
+        R = delay + 2
+        Y = np.empty((R,) + y.shape, dtype=y.dtype)
+        Y[:] = y
+        D = np.empty_like(Y)
+        d_left = None
     for k in range(n_steps):
         t = k * dt
-        y = Y[off + k]
-        zd0 = Y[off + k - m]
+        if delay is not None:
+            i, i1 = (k - delay) % R, (k - delay + 1) % R
+
+            def mid(k1):
+                D[k % R] = k1
+                if k < delay:  # the interval lies in the frozen history
+                    return (Y[i],)
+                d1 = d_left if k - delay + 1 == k_on else D[i1]
+                return (0.5 * (Y[i] + Y[i1]) + 0.125 * dt * (D[i] - d1),)
+
+            lag = (Y[i],), mid, (Y[i1],)
+            if k == k_on:
+                d_left = f(t, y, Y[i])
         if k == k_on:
-            d_left = f(t, y, zd0)
             f = f_on
-        k1 = f(t, y, zd0)
-        D[off + k] = k1
-        zdm = hermite_mid(off + k - m)
-        k2 = f(t + dt / 2, y + dt / 2 * k1, zdm)
-        k3 = f(t + dt / 2, y + dt / 2 * k2, zdm)
-        zd1 = Y[off + k - m + 1]
-        k4 = f(t + dt, y + dt * k3, zd1)
-        ynew = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(ynew)) or np.max(np.abs(ynew)) > cfg.blowup_threshold:
-            blow = (k + 1) * dt
-            Y = Y[: off + k + 1]
+        yn = _rk4_step(f, t, y, dt, lag)
+        within = np.abs(yn) <= blowup  # False also where non-finite
+        if not within.all():
+            ok = within.reshape(B, -1).all(axis=1)
+            blow[alive & ~ok] = k + 1
+            alive &= ok
+        y = yn if alive.all() else np.where(alive.reshape(col), yn, y)
+        if delay is not None:
+            Y[(k + 1) % R] = y
+        obs[k + 1] = observe(y)
+        if not alive.any():
+            obs[k + 2 :] = obs[k + 1]
             break
-        Y[off + k + 1] = ynew
-    states = Y[off:]
+    return obs, blow
+
+
+def _trajectory(dt: float, states: np.ndarray, blow: int) -> Trajectory:
+    """Trajectory of one run, cut after its last finite step if it blew up."""
+    if blow >= 0:
+        states = states[:blow]
     times = np.arange(len(states)) * dt
-    return Trajectory(times=times, states=states, blowup=blow)
+    return Trajectory(times=times, states=states, blowup=float(blow * dt) if blow >= 0 else None)
+
+
+def _grid_rates(dt: float, norms: np.ndarray, blow: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    rates = _fit_rates(np.arange(len(norms)) * dt, norms, cfg.rate_window_fraction)[0]
+    rates[blow >= 0] = np.inf
+    return rates
+
+
+def _scalar_discrete_rk4(a, d, Ls, tau, cfg: SimConfig, observe):
+    """zdot = (a + i d) z + L z(t - tau), one complex scalar run per gain."""
+    Ls = np.asarray(Ls, dtype=complex).ravel()
+    dt, m = _delay_steps(tau, cfg.dt)
+    z0 = _history_values(cfg.history, ConstantHistory(), Ls.shape, complex)
+    ad = complex(a, d)
+
+    def rhs(t, z, zd):
+        return ad * z + Ls * zd
+
+    obs, blow = _rk4(rhs, z0, dt, _n_steps(cfg.horizon, dt), cfg.blowup_threshold, observe, delay=m)
+    return dt, obs, blow
 
 
 def simulate_scalar_discrete(a: float, d: float, L: complex, tau: float, cfg: SimConfig) -> Trajectory:
     """zdot = (a + i d) z + L z(t - tau), complex scalar state."""
-    z0 = _history_values(cfg.history, ConstantHistory(), (1,), complex)
-    ad = complex(a, d)
-    L = complex(L)
-
-    def rhs(t, z, zd):
-        return ad * z + L * zd
-
-    return _integrate_dde(rhs, z0, tau, cfg, z0)
+    dt, states, blow = _scalar_discrete_rk4(a, d, [L], tau, cfg, lambda z: z)
+    return _trajectory(dt, states, blow[0])
 
 
 def scalar_discrete_rate_grid(a: float, d: float, Ls, tau: float, cfg: SimConfig) -> np.ndarray:
     """Exponential rates of the discrete-delay scalar system over a batch of gains."""
+    dt, norms, blow = _scalar_discrete_rk4(a, d, Ls, tau, cfg, np.abs)
+    return _grid_rates(dt, norms, blow, cfg)
+
+
+def _scalar_gamma_rk4(a, Ls, kernel: Gamma, cfg: SimConfig, observe):
+    """zdot = a z + L * (Gamma-delayed z) per gain; state columns z, y1..yn of the chain."""
+    if isinstance(kernel, Exponential):
+        kernel = Gamma(1, kernel.T)
+    n = kernel.n
+    rate = n / kernel.T
     Ls = np.asarray(Ls, dtype=complex).ravel()
-    B = len(Ls)
-    dt, m = _delay_steps(tau, cfg.dt)
-    n_steps = int(math.ceil(cfg.horizon / dt - 1e-9))
-    z0 = _history_values(cfg.history, ConstantHistory(), (B,), complex)
-    Y = np.zeros((m + n_steps + 1, B), dtype=complex)
-    D = np.zeros_like(Y)
-    Y[: m + 1] = z0
-    off = m
-    ad = complex(a, d)
-    alive = np.ones(B, dtype=bool)
-    blow_step = np.full(B, -1, dtype=int)
-    for k in range(n_steps):
-        y = Y[off + k]
-        zd0 = Y[off + k - m]
-        k1 = ad * y + Ls * zd0
-        D[off + k] = k1
-        if k < m:  # midpoint lookup still inside the frozen history
-            zdm = Y[off + k - m]
-        else:
-            zdm = 0.5 * (Y[off + k - m] + Y[off + k - m + 1]) + 0.125 * dt * (
-                D[off + k - m] - D[off + k - m + 1]
-            )
-        y2 = y + dt / 2 * k1
-        k2 = ad * y2 + Ls * zdm
-        y3 = y + dt / 2 * k2
-        k3 = ad * y3 + Ls * zdm
-        y4 = y + dt * k3
-        zd1 = Y[off + k - m + 1]
-        k4 = ad * y4 + Ls * zd1
-        ynew = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        bad = alive & (~np.isfinite(ynew) | (np.abs(ynew) > cfg.blowup_threshold))
-        if np.any(bad):
-            blow_step[bad] = k + 1
-            alive &= ~bad
-            ynew = np.where(alive, ynew, y)
-        Y[off + k + 1] = np.where(alive, ynew, Y[off + k])
-        if not alive.any():
-            Y[off + k + 2 :] = Y[off + k + 1]
-            break
-    norms = np.abs(Y[off:])
-    times = np.arange(norms.shape[0]) * dt
-    rates = _fit_rates(times, norms, cfg.rate_window_fraction)
-    rates[blow_step >= 0] = np.inf
-    return rates
+    z0 = _history_values(cfg.history, ConstantHistory(), Ls.shape, complex)
+
+    def rhs(t, y):
+        dy = np.empty_like(y)
+        dy[:, 0] = a * y[:, 0] + Ls * y[:, n]
+        dy[:, 1:] = rate * (y[:, :-1] - y[:, 1:])
+        return dy
+
+    # column-major, so each chain stage of the batch is contiguous for the rhs
+    y0 = np.asfortranarray(np.repeat(z0[:, None], n + 1, axis=1))
+    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), cfg.blowup_threshold, observe)
 
 
 def simulate_scalar_gamma(a: float, L: complex, kernel: Gamma, cfg: SimConfig) -> Trajectory:
@@ -287,82 +289,47 @@ def simulate_scalar_gamma(a: float, L: complex, kernel: Gamma, cfg: SimConfig) -
     The returned trajectory contains the physical state z only; the chain
     stages are internal.
     """
-    if isinstance(kernel, Exponential):
-        kernel = Gamma(1, kernel.T)
-    n, T = kernel.n, kernel.T
-    z0 = _history_values(cfg.history, ConstantHistory(), (1,), complex)[0]
-    y0 = np.full(n + 1, z0, dtype=complex)
-    rate = n / T
-    L = complex(L)
-
-    def rhs(t, y):
-        dy = np.empty_like(y)
-        dy[0] = a * y[0] + L * y[n]
-        dy[1] = rate * (y[0] - y[1])
-        if n > 1:
-            dy[2:] = rate * (y[1:n] - y[2:])
-        return dy
-
-    n_steps = int(math.ceil(cfg.horizon / cfg.dt - 1e-9))
-    states, blow = _integrate(rhs, y0, cfg.dt, n_steps, cfg.blowup_threshold)
-    times = np.arange(states.shape[0]) * cfg.dt
-    return Trajectory(times=times, states=states[:, :1], blowup=blow)
+    states, blow = _scalar_gamma_rk4(a, [L], kernel, cfg, lambda y: y[:, 0])
+    return _trajectory(cfg.dt, states, blow[0])
 
 
 def scalar_gamma_rate_grid(a: float, Ls, kernel: Gamma, cfg: SimConfig) -> np.ndarray:
     """Exponential rates of the Gamma-delay scalar system over a batch of gains."""
-    if isinstance(kernel, Exponential):
-        kernel = Gamma(1, kernel.T)
-    n, T = kernel.n, kernel.T
-    Ls = np.asarray(Ls, dtype=complex).ravel()
-    B = len(Ls)
-    z0 = _history_values(cfg.history, ConstantHistory(), (B,), complex)
-    Y = np.tile(z0, (n + 1, 1))  # rows: z, y1..yn
-    rate = n / T
+    norms, blow = _scalar_gamma_rk4(a, Ls, kernel, cfg, lambda y: np.abs(y[:, 0]))
+    return _grid_rates(cfg.dt, norms, blow, cfg)
 
-    def rhs(Y):
-        dY = np.empty_like(Y)
-        dY[0] = a * Y[0] + Ls * Y[n]
-        dY[1] = rate * (Y[0] - Y[1])
+
+def _carfollowing_rk4(n: int, N: int, alpha, rate, chain: bool, cfg: SimConfig, observe):
+    """N vehicles on a ring, or on a chain whose leader is uncoupled; one run
+    per row of the gain ``alpha`` and of ``rate`` = n/T, both (C, 1).
+
+    State row: the N velocities, then the n chain stages of the filtered
+    neighbor differences, N values each.
+    """
+    C = len(alpha)
+    alphas = np.repeat(alpha, N, axis=1)
+    if chain:
+        alphas[:, 0] = 0.0
+    x0 = _history_values(cfg.history, UniformHistory(), (N,), float)
+    y0 = np.tile(np.concatenate([x0] + [np.roll(x0, -1) - x0] * n), (C, 1))
+
+    def rhs(t, y):
+        x = y[:, :N]
+        st = y[:, N:].reshape(C, n, N)
+        dy = np.empty_like(y)
+        dy[:, :N] = alphas * st[:, -1]
+        ds = dy[:, N:].reshape(C, n, N)
+        ds[:, 0] = rate * (np.roll(x, -1, axis=1) - x - st[:, 0])
         if n > 1:
-            dY[2:] = rate * (Y[1:n] - Y[2:])
-        return dY
+            ds[:, 1:] = rate[:, :, None] * (st[:, :-1] - st[:, 1:])
+        return dy
 
-    dt = cfg.dt
-    n_steps = int(math.ceil(cfg.horizon / dt - 1e-9))
-    norms = np.empty((n_steps + 1, B))
-    norms[0] = np.abs(Y[0])
-    alive = np.ones(B, dtype=bool)
-    blow = np.zeros(B, dtype=bool)
-    for k in range(n_steps):
-        k1 = rhs(Y)
-        k2 = rhs(Y + dt / 2 * k1)
-        k3 = rhs(Y + dt / 2 * k2)
-        k4 = rhs(Y + dt * k3)
-        Yn = Y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        bad = alive & (~np.isfinite(Yn).all(axis=0) | (np.abs(Yn).max(axis=0) > cfg.blowup_threshold))
-        blow |= bad
-        alive &= ~bad
-        Y = np.where(alive[None, :], Yn, Y)
-        norms[k + 1] = np.abs(Y[0])
-        if not alive.any():
-            norms[k + 2 :] = norms[k + 1]
-            break
-    times = np.arange(n_steps + 1) * dt
-    rates = _fit_rates(times, norms, cfg.rate_window_fraction)
-    rates[blow] = np.inf
-    return rates
+    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), cfg.blowup_threshold, observe)
 
 
-def _carfollowing_arrays(net: NetworkSpec):
-    if isinstance(net, Ring):
-        alphas = np.full(net.N, net.alpha)
-    elif isinstance(net, Chain):
-        alphas = np.full(net.N, net.alpha)
-        alphas[0] = 0.0
-    else:
-        raise TypeError("car-following supports Ring and Chain networks")
-    return net.N, alphas
+def _spread(x: np.ndarray) -> np.ndarray:
+    """Widest pairwise velocity gap per run."""
+    return x.max(axis=1) - x.min(axis=1)
 
 
 def simulate_carfollowing(
@@ -373,40 +340,18 @@ def simulate_carfollowing(
     Returns the velocity trajectory and the exponential rate of the widest
     pairwise velocity gap (the consensus rate).
     """
+    if not isinstance(net, (Ring, Chain)):
+        raise TypeError("car-following supports Ring and Chain networks")
     if isinstance(kernel, Exponential):
         kernel = Gamma(1, kernel.T)
-    N, alphas = _carfollowing_arrays(net)
-    n, T = kernel.n, kernel.T
-    rate = n / T
-    x0 = _history_values(cfg.history, UniformHistory(), (N,), float)
-
-    def diff(x):
-        return np.roll(x, -1) - x
-
-    y0 = np.concatenate([x0] + [diff(x0)] * n)
-
-    def rhs(t, y):
-        x = y[:N]
-        stages = y[N:].reshape(n, N)
-        dy = np.empty_like(y)
-        dy[:N] = alphas * stages[-1]
-        ds = dy[N:].reshape(n, N)
-        ds[0] = rate * (diff(x) - stages[0])
-        if n > 1:
-            ds[1:] = rate * (stages[:-1] - stages[1:])
-        return dy
-
-    n_steps = int(math.ceil(cfg.horizon / cfg.dt - 1e-9))
-    states, blow = _integrate(rhs, y0, cfg.dt, n_steps, cfg.blowup_threshold)
-    times = np.arange(states.shape[0]) * cfg.dt
-    x = states[:, :N]
-    traj = Trajectory(times=times, states=x, blowup=blow)
-    gap = x.max(axis=1) - x.min(axis=1)
-    if gap[0] < 1e-12 and (blow is None and np.all(gap < 1e-9)):
+    xs, blow = _carfollowing_rk4(kernel.n, net.N, np.array([[net.alpha]]), np.array([[kernel.n / kernel.T]]),
+                                 isinstance(net, Chain), cfg, lambda y: y[0, : net.N])
+    traj = _trajectory(cfg.dt, xs, blow[0])
+    gap = _spread(traj.states)
+    if gap[0] < 1e-12 and (traj.blowup is None and np.all(gap < 1e-9)):
         est = RateEstimate(0.0, 1.0, "inconclusive", note="already_consensus")
     else:
-        gap_traj = Trajectory(times=times, states=gap[:, None], blowup=blow)
-        est = estimate_rate(gap_traj, cfg)
+        est = estimate_rate(Trajectory(traj.times, gap[:, None], traj.blowup), cfg)
     return traj, est
 
 
@@ -425,60 +370,40 @@ def carfollowing_rate_grid(
     """
     alphas = np.asarray(alphas, dtype=float)
     Ts = np.asarray(Ts, dtype=float)
-    A, B = np.meshgrid(alphas, Ts, indexing="ij")
-    A = A.ravel()[:, None]  # (C, 1)
-    Tv = np.meshgrid(alphas, Ts, indexing="ij")[1].ravel()[:, None]
-    C = A.shape[0]
-    rate_c = n / Tv  # (C, 1)
-    agent_alpha = np.repeat(A, N, axis=1)
-    if chain:
-        agent_alpha[:, 0] = 0.0
-    x0 = _history_values(cfg.history, UniformHistory(), (N,), float)
-    x = np.tile(x0, (C, 1))
-    d0 = np.roll(x0, -1) - x0
-    stages = np.tile(d0, (C, n, 1)).reshape(C, n, N)
+    A, Tv = np.meshgrid(alphas, Ts, indexing="ij")
+    gaps, blow = _carfollowing_rk4(n, N, A.reshape(-1, 1), n / Tv.reshape(-1, 1), chain, cfg,
+                                   lambda y: _spread(y[:, :N]))
+    return _grid_rates(cfg.dt, gaps, blow, cfg).reshape(len(alphas), len(Ts))
 
-    n_steps = int(math.ceil(cfg.horizon / cfg.dt - 1e-9))
-    dt = cfg.dt
-    gaps = np.empty((n_steps + 1, C))
-    alive = np.ones(C, dtype=bool)
-    blow = np.zeros(C, dtype=bool)
 
-    def rhs(x, st):
-        dx = agent_alpha * st[:, -1, :]
-        dst = np.empty_like(st)
-        diff = np.roll(x, -1, axis=1) - x
-        dst[:, 0, :] = rate_c * (diff - st[:, 0, :])
-        if n > 1:
-            dst[:, 1:, :] = rate_c[:, None, :] * (st[:, :-1, :] - st[:, 1:, :])
-        return dx, dst
+def _mas_rk4(a, b, k1, k2, T, Js: np.ndarray, cfg: SimConfig, observe):
+    """Second-order agents, one run per coupling matrix of ``Js`` (S, N, N)."""
+    S, N, _ = Js.shape
+    x0, v0 = _history_values(cfg.history, UniformHistory(), (2, S, N), float)
+    delayed = T > 0
+    # the coupling filters start on the history
+    y0 = np.concatenate([x0, v0, x0, v0] if delayed else [x0, v0], axis=1)
 
-    gaps[0] = x.max(axis=1) - x.min(axis=1)
-    for k in range(n_steps):
-        k1x, k1s = rhs(x, stages)
-        k2x, k2s = rhs(x + dt / 2 * k1x, stages + dt / 2 * k1s)
-        k3x, k3s = rhs(x + dt / 2 * k2x, stages + dt / 2 * k2s)
-        k4x, k4s = rhs(x + dt * k3x, stages + dt * k3s)
-        xn = x + (dt / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        sn = stages + (dt / 6) * (k1s + 2 * k2s + 2 * k3s + k4s)
-        bad = alive & (
-            ~np.isfinite(xn).all(axis=1)
-            | (np.abs(xn).max(axis=1) > cfg.blowup_threshold)
-            | ~np.isfinite(sn).all(axis=(1, 2))
-        )
-        blow |= bad
-        alive &= ~bad
-        keep = alive[:, None]
-        x = np.where(keep, xn, x)
-        stages = np.where(keep[:, :, None], sn, stages)
-        gaps[k + 1] = x.max(axis=1) - x.min(axis=1)
-        if not alive.any():
-            gaps[k + 2 :] = gaps[k + 1]
-            break
-    times = np.arange(n_steps + 1) * dt
-    rates = _fit_rates(times, gaps, cfg.rate_window_fraction)
-    rates[blow] = np.inf
-    return rates.reshape(len(alphas), len(Ts))
+    def rhs(t, y):
+        x = y[:, :N]
+        v = y[:, N : 2 * N]
+        px, pv = (y[:, 2 * N : 3 * N], y[:, 3 * N :]) if delayed else (x, v)
+        u = np.matmul(Js, (k1 * px + k2 * pv)[:, :, None])[:, :, 0]
+        dy = np.empty_like(y)
+        dy[:, :N] = v
+        dy[:, N : 2 * N] = a * v + b * x + u
+        if delayed:
+            dy[:, 2 * N : 3 * N] = (x - px) / T
+            dy[:, 3 * N :] = (v - pv) / T
+        return dy
+
+    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), cfg.blowup_threshold, observe)
+
+
+def _mas_stabilized(norms: np.ndarray, blow: np.ndarray) -> np.ndarray:
+    """Runs whose norm over the last tenth of the steps stays below 1e-3 of the initial one."""
+    tail = max(int(math.floor(0.9 * (len(norms) - 1))), 1)
+    return (blow < 0) & (norms[tail:].max(axis=0) < 1e-3 * np.maximum(norms[0], 1e-300))
 
 
 def simulate_mas(
@@ -492,91 +417,19 @@ def simulate_mas(
     """
     J = np.asarray(J, dtype=float)
     N = J.shape[0]
-    stabilized, states, blow = _mas_run(a, b, k1, k2, T, J[None, :, :], cfg, keep_states=True)
-    times = np.arange(states.shape[0]) * cfg.dt
-    traj = Trajectory(times=times, states=states[:, 0, : 2 * N], blowup=blow[0])
-    return MasResult(stabilized=bool(stabilized[0]), trajectory=traj)
+    states, blow = _mas_rk4(a, b, k1, k2, T, J[None, :, :], cfg, lambda y: y[0, : 2 * N])
+    stabilized = _mas_stabilized(np.linalg.norm(states, axis=1)[:, None], blow)
+    return MasResult(stabilized=bool(stabilized[0]), trajectory=_trajectory(cfg.dt, states, blow[0]))
 
 
 def mas_ensemble(
     a: float, b: float, k1: float, k2: float, T: float, Js: np.ndarray, cfg: SimConfig
 ) -> np.ndarray:
     """Stabilization verdicts for a stack of coupling matrices (S, N, N)."""
-    stabilized, _, _ = _mas_run(a, b, k1, k2, T, np.asarray(Js, dtype=float), cfg, keep_states=False)
-    return stabilized
-
-
-def _mas_run(a, b, k1, k2, T, Js, cfg: SimConfig, *, keep_states: bool):
-    S, N, _ = Js.shape
-    hist = cfg.history if cfg.history is not None else UniformHistory()
-    if isinstance(hist, UniformHistory):
-        rng = np.random.default_rng(hist.seed)
-        x0 = hist.amplitude * rng.uniform(-1.0, 1.0, size=(S, N))
-        v0 = hist.amplitude * rng.uniform(-1.0, 1.0, size=(S, N))
-    else:
-        x0 = np.full((S, N), complex(hist.value).real)
-        v0 = np.full((S, N), complex(hist.value).real)
-    delayed = T > 0
-    if delayed:
-        y = np.concatenate([x0, v0, x0, v0], axis=1)  # filters start on the history
-    else:
-        y = np.concatenate([x0, v0], axis=1)
-
-    def rhs(y):
-        x = y[:, :N]
-        v = y[:, N : 2 * N]
-        if delayed:
-            px = y[:, 2 * N : 3 * N]
-            pv = y[:, 3 * N :]
-            u = np.matmul(Js, (k1 * px + k2 * pv)[:, :, None])[:, :, 0]
-        else:
-            u = np.matmul(Js, (k1 * x + k2 * v)[:, :, None])[:, :, 0]
-        dy = np.empty_like(y)
-        dy[:, :N] = v
-        dy[:, N : 2 * N] = a * v + b * x + u
-        if delayed:
-            dy[:, 2 * N : 3 * N] = (x - px) / T
-            dy[:, 3 * N :] = (v - pv) / T
-        return dy
-
-    dt = cfg.dt
-    n_steps = int(math.ceil(cfg.horizon / dt - 1e-9))
-    tail_start = int(math.floor(0.9 * n_steps))
-    init_norm = np.linalg.norm(y[:, : 2 * N], axis=1)
-    tail_max = np.zeros(S)
-    alive = np.ones(S, dtype=bool)
-    blow_time = np.array([None] * S, dtype=object)
-    states = np.empty((n_steps + 1, S, y.shape[1])) if keep_states else None
-    if keep_states:
-        states[0] = y
-    for k in range(n_steps):
-        k1_ = rhs(y)
-        k2_ = rhs(y + dt / 2 * k1_)
-        k3_ = rhs(y + dt / 2 * k2_)
-        k4_ = rhs(y + dt * k3_)
-        yn = y + (dt / 6) * (k1_ + 2 * k2_ + 2 * k3_ + k4_)
-        bad = alive & (~np.isfinite(yn).all(axis=1) | (np.abs(yn).max(axis=1) > cfg.blowup_threshold))
-        for s in np.nonzero(bad)[0]:
-            blow_time[s] = (k + 1) * dt
-        alive &= ~bad
-        y = np.where(alive[:, None], yn, y)
-        if keep_states:
-            states[k + 1] = y
-        if k + 1 >= tail_start:
-            norm = np.linalg.norm(y[:, : 2 * N], axis=1)
-            tail_max = np.maximum(tail_max, norm)
-        if not alive.any():
-            if keep_states:
-                states[k + 2 :] = y
-            tail_max = np.maximum(tail_max, np.linalg.norm(y[:, : 2 * N], axis=1))
-            break
-    stabilized = alive & (tail_max < 1e-3 * np.maximum(init_norm, 1e-300))
-    if keep_states:
-        # truncate a single kept run at its blow-up point
-        if S == 1 and blow_time[0] is not None:
-            cut = int(round(blow_time[0] / dt))
-            states = states[:cut]
-    return stabilized, states, blow_time
+    Js = np.asarray(Js, dtype=float)
+    N = Js.shape[1]
+    norms, blow = _mas_rk4(a, b, k1, k2, T, Js, cfg, lambda y: np.linalg.norm(y[:, : 2 * N], axis=1))
+    return _mas_stabilized(norms, blow)
 
 
 def simulate_kuramoto(
@@ -636,7 +489,7 @@ def simulate_kuramoto(
     else:
         raise ValueError(f"unknown delay sampler: {kind!r}")
 
-    n_steps = int(math.ceil(cfg.horizon / dt - 1e-9))
+    n_steps = _n_steps(cfg.horizon, dt)
     r_series, snap_times, snaps = _kuramoto_run(
         theta, omega, M, K, C, S, dt, n_steps, control_on, snapshot_every
     )
@@ -691,7 +544,7 @@ def _kuramoto_run(theta, omega, M, K, C, S, dt, n_steps, control_on, snapshot_ev
         else:
             eta = None
 
-        def rhs(phase):
+        def rhs(t, phase):
             rr = np.mean(np.exp(1j * phase))
             dth = omega + K * np.imag(rr * np.exp(-1j * phase))
             if eta is not None:
@@ -699,11 +552,7 @@ def _kuramoto_run(theta, omega, M, K, C, S, dt, n_steps, control_on, snapshot_ev
                 dth = dth + C * np.imag(w) + S * np.real(w)
             return dth
 
-        k1 = rhs(th)
-        k2 = rhs(th + dt / 2 * k1)
-        k3 = rhs(th + dt / 2 * k2)
-        k4 = rhs(th + dt * k3)
-        th = th + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        th = _rk4_step(rhs, t, th, dt)
         row = P + k + 1 - base
         if row == W:
             EH[:P] = EH[W - P :]
@@ -739,80 +588,72 @@ def simulate_oa(
     """
     lin = complex(K / 2.0 - 1.0, d)
     L = complex(L)
-    cfg_oa = SimConfig(
-        dt=cfg.dt,
-        horizon=cfg.horizon,
-        history=cfg.history,
-        rate_window_fraction=cfg.rate_window_fraction,
-        rate_tol=cfg.rate_tol,
-        blowup_threshold=10.0,
-    )
 
-    def switched(rhs):
-        # feedback off until the step that starts at control_on (snapped up
-        # to the step grid), on from there; one field per RK4 step
-        if control_on is None:
-            return rhs, None
-        return partial(rhs, Lt=0j), (control_on, rhs)
+    def dr(r, eta, Lt):
+        return lin * r + Lt * eta - (K / 2.0) * np.abs(r) ** 2 * r - np.conj(Lt) * r**2 * np.conj(eta)
 
+    dt, delay = cfg.dt, None
     if isinstance(kernel, Dirac):
-        z0 = np.array([r0], dtype=complex)
+        dt, delay = _delay_steps(kernel.tau, cfg.dt)
+        y0 = np.array([[r0]], dtype=complex)
 
         def rhs(t, r, rd, Lt=L):
-            return lin * r + Lt * rd - (K / 2.0) * np.abs(r) ** 2 * r - np.conj(Lt) * r**2 * np.conj(rd)
+            return dr(r, rd, Lt)
 
-        f, switch = switched(rhs)
-        return _integrate_dde(f, z0, kernel.tau, cfg_oa, z0, switch)
-
-    if isinstance(kernel, (Exponential, Gamma)):
+    elif isinstance(kernel, (Exponential, Gamma)):
         if isinstance(kernel, Gamma) and kernel.n != 1:
             raise ValueError("order-parameter dynamics supports the exponential kernel (n = 1)")
         T = kernel.T
-        y0 = np.array([r0, r0], dtype=complex)
+        y0 = np.array([[r0, r0]], dtype=complex)
 
-        def rhs2(t, y, Lt=L):
-            r, eta = y[0], y[1]
-            dr = lin * r + Lt * eta - (K / 2.0) * np.abs(r) ** 2 * r - np.conj(Lt) * r**2 * np.conj(eta)
-            return np.array([dr, (r - eta) / T])
+        def rhs(t, y, Lt=L):
+            r, eta = y[0]
+            return np.array([[dr(r, eta, Lt), (r - eta) / T]])
 
-        f, switch = switched(rhs2)
-        n_steps = int(math.ceil(cfg.horizon / cfg.dt - 1e-9))
-        states, blow = _integrate(f, y0, cfg.dt, n_steps, 10.0, switch)
-        times = np.arange(states.shape[0]) * cfg.dt
-        return Trajectory(times=times, states=states[:, :1], blowup=blow)
-
-    raise TypeError("order-parameter dynamics needs a Dirac or exponential kernel")
+    else:
+        raise TypeError("order-parameter dynamics needs a Dirac or exponential kernel")
+    # the feedback is off until the step that starts at control_on
+    f, switch = (rhs, None) if control_on is None else (partial(rhs, Lt=0j), (control_on, rhs))
+    states, blow = _rk4(f, y0, dt, _n_steps(cfg.horizon, dt), 10.0, lambda y: y[:, 0], delay, switch)
+    return _trajectory(dt, states, blow[0])
 
 
-def _fit_rates(times: np.ndarray, norms: np.ndarray, frac: float) -> np.ndarray:
-    """Least-squares slopes of log(norms) over the trailing window, batched.
+_FIT_BLOCK = 1 << 18  # window samples fitted at once: bounds the fit's scratch memory
 
-    ``norms`` has shape (nt,) or (nt, B); nonpositive or nonfinite samples
-    are dropped per column; columns with fewer than half the window usable
-    get NaN.
+
+def _fit_rates(times: np.ndarray, norms: np.ndarray, frac: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Least-squares slopes of log(norms) over the trailing window and their R^2, batched.
+
+    ``norms`` has shape (nt,) or (nt, B); the results have one entry per
+    column.  Nonpositive or nonfinite samples are masked out per column;
+    columns with fewer than half the window usable get a NaN slope.  The
+    columns are fitted a block at a time, each summed along contiguous
+    memory, so a column's fit does not depend on the rest of the batch.
     """
-    single = norms.ndim == 1
-    if single:
-        norms = norms[:, None]
-    nt = norms.shape[0]
-    start = int(math.floor((1.0 - frac) * (nt - 1)))
+    w = np.atleast_2d(norms.T)
+    start = int(math.floor((1.0 - frac) * (w.shape[1] - 1)))
     t = times[start:]
-    w = norms[start:]
-    out = np.full(w.shape[1], np.nan)
+    step = max(1, _FIT_BLOCK // len(t))
+    fits = [_fit_block(t, w[j : j + step, start:]) for j in range(0, len(w), step)]
+    return tuple(np.concatenate(f) for f in zip(*fits))
+
+
+def _fit_block(t: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.log(w)
-    for j in range(w.shape[1]):
-        y = logw[:, j]
+        y = np.log(np.ascontiguousarray(w))
         ok = np.isfinite(y)
-        if ok.sum() < max(2, len(y) // 2):
-            continue
-        tt, yy = t[ok], y[ok]
-        tm, ym = tt.mean(), yy.mean()
-        denom = np.sum((tt - tm) ** 2)
-        if denom == 0:
-            continue
-        out[j] = np.sum((tt - tm) * (yy - ym)) / denom
-    return out[0:1] if single else out
+        n = ok.sum(axis=1)
+        tm = np.where(ok, t, 0.0).sum(axis=1) / n
+        tc = np.where(ok, t - tm[:, None], 0.0)
+        ym = (np.where(ok, y, 0.0).sum(axis=1) / n)[:, None]
+        yc = np.where(ok, y - ym, 0.0)
+        denom = np.sum(tc**2, axis=1)
+        slope = np.sum(tc * yc, axis=1) / denom
+        resid = np.where(ok, y - (ym + slope[:, None] * tc), 0.0)
+        sstot = np.sum(yc**2, axis=1)
+        r2 = np.maximum(0.0, 1.0 - np.sum(resid**2, axis=1) / sstot)
+    slope[(n < max(2, y.shape[1] // 2)) | (denom == 0)] = np.nan
+    return slope, np.where(sstot == 0.0, 1.0, r2)
 
 
 def estimate_rate(traj: Trajectory, cfg: SimConfig) -> RateEstimate:
@@ -823,7 +664,8 @@ def estimate_rate(traj: Trajectory, cfg: SimConfig) -> RateEstimate:
     """
     if traj.blowup is not None:
         return RateEstimate(math.inf, 1.0, "diverging", note="blow_up")
-    norms = np.linalg.norm(np.atleast_2d(traj.states.T).T, axis=1)
+    # for a single component this is exactly |z|, the norm the rate grids fit
+    norms = np.sqrt(np.sum(np.abs(np.atleast_2d(traj.states.T).T) ** 2, axis=1))
     nt = len(norms)
     start = int(math.floor((1.0 - cfg.rate_window_fraction) * (nt - 1)))
     window = norms[start:]
@@ -831,19 +673,9 @@ def estimate_rate(traj: Trajectory, cfg: SimConfig) -> RateEstimate:
         raise ValueError(f"need >= 100 samples in the fit window, got {len(window)}")
     if np.all(window == 0.0):
         return RateEstimate(-math.inf, 1.0, "converging", note="reached_zero")
-    t = traj.times[start:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log(window)
-    ok = np.isfinite(y)
-    if ok.sum() < len(y) // 2:
+    slope, r2 = (float(v[0]) for v in _fit_rates(traj.times, norms, cfg.rate_window_fraction))
+    if math.isnan(slope):
         return RateEstimate(0.0, 0.0, "inconclusive", note="degenerate_tail")
-    tt, yy = t[ok], y[ok]
-    tm, ym = tt.mean(), yy.mean()
-    denom = float(np.sum((tt - tm) ** 2))
-    slope = float(np.sum((tt - tm) * (yy - ym)) / denom)
-    resid = yy - (ym + slope * (tt - tm))
-    sstot = float(np.sum((yy - ym) ** 2))
-    r2 = 1.0 if sstot == 0.0 else max(0.0, 1.0 - float(np.sum(resid**2)) / sstot)
     if slope < -cfg.rate_tol:
         verdict = "converging"
     elif slope > cfg.rate_tol:

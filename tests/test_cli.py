@@ -82,6 +82,17 @@ def test_zero_horizon_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("model, params", [
+    ("scalar-discrete", {"a": -1, "d": 0, "L": [0.2, 0], "tau": 0.5}),
+    ("carfollowing", {"network": {"kind": "ring", "n": 5, "alpha": 1.0}, "n": 1, "T": 0.5}),
+])
+def test_short_fit_window_exit_2_writes_nothing(tmp_path, model, params):
+    # a 1.0 horizon leaves 51 samples in the rate fit window, 100 are needed
+    code, out = run(tmp_path, "simulate", {"model": model, "params": params, "sim": {"dt": 0.01, "horizon": 1.0}})
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
 def test_missing_preset_and_system_exit_2(tmp_path):
     code, _ = run(tmp_path, "scc", {"beta": {"lo": 0, "hi": 1, "step": 0.1}})
     assert code == 2

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -136,17 +137,76 @@ def test_carfollowing_consensus_manifold_flagged():
     assert est.note == "already_consensus"
 
 
-def test_carfollowing_grid_matches_single_runs():
-    cfg = sim.SimConfig(dt=0.01, horizon=120.0, history=sim.UniformHistory(3))
-    tc = nw.carfollowing_Tc(1, 10, 1.0)
-    Ts = np.array([0.8 * tc, 1.2 * tc])
-    grid = sim.carfollowing_rate_grid(1, 10, np.array([1.0]), Ts, cfg)
-    for j, T in enumerate(Ts):
-        _, est = sim.simulate_carfollowing(nw.Ring(10, 1.0), Gamma(1, float(T)), cfg)
-        if math.isinf(grid[0, j]):
-            assert est.rate > 0.05
-        else:
-            assert grid[0, j] == pytest.approx(est.rate, abs=1e-9)
+def test_carfollowing_constant_history_emits_no_warning():
+    # a complex constant, as the CLI builds it from [re, im]
+    cfg = sim.SimConfig(dt=0.01, horizon=20.0, history=sim.ConstantHistory(0.7 + 0j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj, _ = sim.simulate_carfollowing(nw.Ring(6, 1.0), Gamma(1, 0.3), cfg)
+    assert np.all(traj.states == 0.7)
+
+
+# each case: a batch of parameters holding one that blows up, its grid, and
+# the rate of a single run
+_GRID_CFG = sim.SimConfig(dt=0.01, horizon=40.0, history=sim.ConstantHistory(0.1))
+_CAR_CFG = sim.SimConfig(dt=0.01, horizon=120.0, history=sim.UniformHistory(3))
+_CAR_ALPHAS, _CAR_TS = np.array([1.0, 2.0]), np.array([0.3, 3.0])
+_GRID_CASES = {
+    "discrete": (
+        [-1.5, -3.0, -9.0, -1.2 + 0.3j],
+        lambda Ls: sim.scalar_discrete_rate_grid(1.0, 0.0, Ls, 0.5, _GRID_CFG),
+        lambda L: sim.estimate_rate(sim.simulate_scalar_discrete(1.0, 0.0, L, 0.5, _GRID_CFG), _GRID_CFG).rate,
+    ),
+    "gamma": (
+        [-3.0, -2.0 + 1.0j, -1.0 + 0.4j, 9.0],
+        lambda Ls: sim.scalar_gamma_rate_grid(1.0, Ls, Gamma(2, 0.5), _GRID_CFG),
+        lambda L: sim.estimate_rate(sim.simulate_scalar_gamma(1.0, L, Gamma(2, 0.5), _GRID_CFG), _GRID_CFG).rate,
+    ),
+    "carfollowing": (
+        [(al, T) for al in _CAR_ALPHAS for T in _CAR_TS],  # the grid's cells, row-major
+        lambda cells: sim.carfollowing_rate_grid(2, 10, _CAR_ALPHAS, _CAR_TS, _CAR_CFG).ravel(),
+        lambda cell: sim.simulate_carfollowing(nw.Ring(10, cell[0]), Gamma(2, cell[1]), _CAR_CFG)[1].rate,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRID_CASES))
+def test_rate_grid_matches_single_runs(case):
+    # a single run is a batch of one of the grid's integrator and rate fit
+    params, grid, single = _GRID_CASES[case]
+    rates = grid(params)
+    assert np.isinf(rates).sum() == 1
+    for p, rate in zip(params, rates):
+        assert single(p) == rate
+
+
+@pytest.mark.parametrize("case", ["discrete", "gamma"])
+def test_blowup_freezes_only_its_column_scalar(case):
+    params, grid, _ = _GRID_CASES[case]
+    with_blowup = grid(params)
+    blown = int(np.flatnonzero(np.isinf(with_blowup))[0])
+    without = grid(params[:blown] + params[blown + 1:])
+    assert np.isfinite(without).all()
+    assert np.array_equal(np.delete(with_blowup, blown), without)
+
+
+def test_blowup_freezes_only_its_column_carfollowing():
+    # alpha = 2 blows up at T = 3; the alpha = 1 row runs with and without it
+    with_blowup = sim.carfollowing_rate_grid(2, 10, _CAR_ALPHAS, _CAR_TS, _CAR_CFG)
+    without = sim.carfollowing_rate_grid(2, 10, _CAR_ALPHAS[:1], _CAR_TS, _CAR_CFG)
+    assert math.isinf(with_blowup[1, 1]) and np.isfinite(without).all()
+    assert np.array_equal(with_blowup[:1], without)
+
+
+def test_blowup_freezes_only_its_column_mas():
+    cfg = sim.SimConfig(dt=0.01, horizon=60.0, history=sim.UniformHistory(1))
+    Js = [-2.0 * np.eye(6), nw.network_matrix(nw.RandomNet(6, 2.0, 0.1, seed=1)), -0.5 * np.eye(6)]
+    blowing = 50.0 * np.eye(6)
+    without = sim.mas_ensemble(1.0, 1.0, 1.0, 1.1, 0.05, np.stack(Js), cfg)
+    with_blowup = sim.mas_ensemble(1.0, 1.0, 1.0, 1.1, 0.05, np.stack(Js[:2] + [blowing] + Js[2:]), cfg)
+    assert without.tolist() == [True, True, False]
+    assert with_blowup.tolist() == [True, True, False, False]
+    assert sim.simulate_mas(1.0, 1.0, 1.0, 1.1, 0.05, blowing, cfg).trajectory.blowup is not None
 
 
 def test_mas_diagonal_decouples_to_membership():
