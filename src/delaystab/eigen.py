@@ -1,180 +1,24 @@
-"""Self-contained complex eigenvalue solver and polynomial root finder.
+"""Complex eigenvalues and polynomial roots.
 
-Dense nonsymmetric complex matrices are handled by Parlett-Reinsch
-balancing, Householder reduction to upper Hessenberg form, and explicit
-single-shift QR iteration with a Wilkinson shift.  Deflation uses a
-relative subdiagonal test; stalled positions get an exceptional shift
-every ten sweeps.  Sizes up to a few hundred are the design point.
-
-Polynomial roots come from the companion matrix of the monic normalization
-(degrees one and two are solved in closed form).
+Dense eigenvalues come from LAPACK (``geev`` through ``numpy.linalg``,
+which balances the matrix first).  Polynomial roots come from the
+companion matrix of the monic normalization; degrees one and two are
+solved in closed form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["QRConvergenceError", "eigvals", "poly_roots"]
-
-_DEFLATE_TOL = 1e-12
-_MAX_SWEEPS_PER_EIG = 60
+__all__ = ["eigvals", "poly_roots"]
 
 
-class QRConvergenceError(RuntimeError):
-    """QR iteration failed to deflate an eigenvalue within the sweep budget."""
-
-
-def _balance(A: np.ndarray) -> np.ndarray:
-    """Diagonal similarity scaling by powers of two (norm equalization)."""
-    A = A.copy()
-    n = A.shape[0]
-    for _ in range(20):
-        converged = True
-        for i in range(n):
-            r = np.sum(np.abs(A[i, :])) - np.abs(A[i, i])
-            c = np.sum(np.abs(A[:, i])) - np.abs(A[i, i])
-            if r == 0.0 or c == 0.0:
-                continue
-            f = 1.0
-            s = c + r
-            while c < r / 2.0:
-                c *= 2.0
-                r /= 2.0
-                f *= 2.0
-            while c >= r * 2.0:
-                c /= 2.0
-                r *= 2.0
-                f /= 2.0
-            if (c + r) < 0.95 * s:
-                converged = False
-                A[i, :] /= f
-                A[:, i] *= f
-        if converged:
-            break
-    return A
-
-
-def _hessenberg(A: np.ndarray) -> np.ndarray:
-    """Householder reduction to upper Hessenberg form (in place on a copy)."""
-    H = A.copy()
-    n = H.shape[0]
-    for k in range(n - 2):
-        x = H[k + 1 :, k]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            continue
-        alpha = x[0]
-        phase = alpha / abs(alpha) if alpha != 0.0 else 1.0
-        v = x.copy()
-        v[0] += phase * norm_x
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        # H <- P H P with P = I - 2 v v^H on the trailing block
-        H[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ H[k + 1 :, k:])
-        H[:, k + 1 :] -= 2.0 * np.outer(H[:, k + 1 :] @ v, v.conj())
-        H[k + 2 :, k] = 0.0
-    return H
-
-
-def _givens(f: complex, g: complex):
-    """Rotation [[c, s], [-conj(s), c]] (c real) sending (f, g) to (r, 0)."""
-    if g == 0.0:
-        return 1.0, 0.0 + 0.0j
-    if f == 0.0:
-        return 0.0, g.conjugate() / abs(g)
-    denom = np.hypot(abs(f), abs(g))
-    c = abs(f) / denom
-    s = (f / abs(f)) * g.conjugate() / denom
-    return c, s
-
-
-def _eig2(a: complex, b: complex, c: complex, d: complex):
-    """Eigenvalues of [[a, b], [c, d]]."""
-    tr = a + d
-    disc = np.sqrt((a - d) ** 2 + 4.0 * b * c + 0.0j)
-    return 0.5 * (tr + disc), 0.5 * (tr - disc)
-
-
-def _wilkinson_shift(H: np.ndarray, hi: int) -> complex:
-    a, b = H[hi - 1, hi - 1], H[hi - 1, hi]
-    c, d = H[hi, hi - 1], H[hi, hi]
-    l1, l2 = _eig2(a, b, c, d)
-    return l1 if abs(l1 - d) <= abs(l2 - d) else l2
-
-
-def eigvals(A, *, tol: float = _DEFLATE_TOL, max_sweeps: int = _MAX_SWEEPS_PER_EIG) -> np.ndarray:
-    """All eigenvalues of a square complex matrix, unordered."""
-    A = np.asarray(A, dtype=complex)
+def eigvals(A) -> np.ndarray:
+    """All eigenvalues of a square matrix as a complex array, unordered."""
+    A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"square matrix required, got shape {A.shape}")
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    if n == 1:
-        return A[0, 0:1].copy()
-    H = _hessenberg(_balance(A))
-    eig = np.zeros(n, dtype=complex)
-    hi = n - 1
-    sweeps = 0
-    while hi >= 0:
-        if hi == 0:
-            eig[0] = H[0, 0]
-            break
-        # deflate negligible subdiagonals, then locate the unreduced block
-        lo = hi
-        while lo > 0:
-            off = abs(H[lo, lo - 1])
-            if off <= tol * (abs(H[lo - 1, lo - 1]) + abs(H[lo, lo])):
-                H[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eig[hi] = H[hi, hi]
-            hi -= 1
-            sweeps = 0
-            continue
-        if hi - lo == 1:
-            eig[hi - 1], eig[hi] = _eig2(H[lo, lo], H[lo, hi], H[hi, lo], H[hi, hi])
-            hi -= 2
-            sweeps = 0
-            continue
-        if sweeps >= max_sweeps:
-            raise QRConvergenceError(
-                f"no deflation at index {hi} after {sweeps} sweeps "
-                f"(block {lo}..{hi}, subdiag {abs(H[hi, hi - 1]):.3e})"
-            )
-        if sweeps and sweeps % 10 == 0:
-            # exceptional shift breaks symmetric stalls
-            mu = H[hi, hi] + (0.75 + 0.4375j) * (abs(H[hi, hi - 1]) + abs(H[hi - 1, hi - 2]))
-        else:
-            mu = _wilkinson_shift(H, hi)
-        _qr_step(H, lo, hi, mu)
-        sweeps += 1
-    return eig
-
-
-def _qr_step(H: np.ndarray, lo: int, hi: int, mu: complex) -> None:
-    """One explicit shifted QR sweep on the decoupled block H[lo:hi+1, lo:hi+1]."""
-    m = hi - lo + 1
-    B = H[lo : hi + 1, lo : hi + 1]
-    idx = np.arange(m)
-    B[idx, idx] -= mu
-    rots = []
-    for k in range(m - 1):
-        c, s = _givens(B[k, k], B[k + 1, k])
-        rots.append((c, s))
-        rk = c * B[k, k:] + s * B[k + 1, k:]
-        B[k + 1, k:] = -np.conj(s) * B[k, k:] + c * B[k + 1, k:]
-        B[k, k:] = rk
-        B[k + 1, k] = 0.0
-    for k, (c, s) in enumerate(rots):
-        top = k + 2
-        colk = c * B[:top, k] + np.conj(s) * B[:top, k + 1]
-        B[:top, k + 1] = -s * B[:top, k] + c * B[:top, k + 1]
-        B[:top, k] = colk
-    B[idx, idx] += mu
+    return np.linalg.eigvals(A).astype(complex)
 
 
 def poly_roots(coeffs) -> np.ndarray:

@@ -4,7 +4,7 @@ Covers the coupling matrices of the three applications: directed ring and
 leader chain for velocity-matching vehicles, arbitrary row-sum-zero
 weighted couplings, and noise-perturbed self-negative feedback J = -R I +
 alpha Xi with i.i.d. uniform entries.  Ring and chain spectra are closed
-form; the rest go through the in-house QR solver.  Critical delays and the
+form; the rest come from LAPACK.  Critical delays and the
 critical noise strength follow from the polar geometry of the relevant
 crossing curves.
 """
@@ -147,14 +147,14 @@ def network_matrix(net: NetworkSpec) -> np.ndarray:
 @dataclass
 class Spectrum:
     eigenvalues: np.ndarray
-    method: str  # "closed_form" | "qr_iteration" | "circular_law_approx"
+    method: str  # "closed_form" | "lapack" | "circular_law_approx"
 
 
 def spectrum(net: NetworkSpec) -> Spectrum:
     """Eigenvalues of the coupling matrix.
 
     Ring and chain use the closed forms (the ring spectrum contains zero
-    exactly once); other specs go through balanced Hessenberg QR.
+    exactly once); other specs go through LAPACK (``eigen.eigvals``).
     """
     if isinstance(net, Ring):
         ls = np.arange(net.N)
@@ -165,7 +165,7 @@ def spectrum(net: NetworkSpec) -> Spectrum:
         mu = np.full(net.N, -net.alpha, dtype=complex)
         mu[0] = 0.0
         return Spectrum(mu, "closed_form")
-    return Spectrum(eigvals(network_matrix(net)), "qr_iteration")
+    return Spectrum(eigvals(network_matrix(net)), "lapack")
 
 
 def circular_law_circle(N: int, R: float, alpha: float) -> Tuple[complex, float]:

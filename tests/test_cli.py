@@ -93,6 +93,15 @@ def test_short_fit_window_exit_2_writes_nothing(tmp_path, model, params):
     assert list(out.iterdir()) == []
 
 
+def test_carfollowing_on_random_network_exit_2_writes_nothing(tmp_path):
+    # car-following is defined on the ring and the leader chain only
+    params = {"n": 1, "T": 0.3, "network": {"kind": "random", "n": 5, "R": 2.0, "alpha": 0.1, "seed": 1}}
+    code, out = run(tmp_path, "simulate", {"model": "carfollowing", "params": params,
+                                           "sim": {"dt": 0.01, "horizon": 20.0}})
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
 def test_missing_preset_and_system_exit_2(tmp_path):
     code, _ = run(tmp_path, "scc", {"beta": {"lo": 0, "hi": 1, "step": 0.1}})
     assert code == 2

@@ -93,3 +93,10 @@ def test_quadratic_cancellation_safe():
     r = np.sort_complex(poly_roots([1.0, -(1e8 + 1e-8), 1.0]))
     assert abs(r[0] - 1e-8) < 1e-16
     assert abs(r[1] - 1e8) < 1.0
+
+
+def test_real_spectrum_comes_back_complex():
+    # LAPACK returns a real array when every eigenvalue of a real matrix is real
+    ev = eigvals(np.diag([1.0, 2.0, 3.0]))
+    assert ev.dtype == complex
+    assert np.array_equal(np.sort(ev.real), [1.0, 2.0, 3.0]) and not ev.imag.any()

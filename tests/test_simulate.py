@@ -245,6 +245,39 @@ def test_mas_t_zero_undelayed():
     assert res.stabilized
 
 
+@pytest.mark.parametrize("T", [0.05, 0.15, 0.0])
+def test_mas_ensemble_matches_direct_integrator(T):
+    # a constant history gives every run of a stack the initial state of its
+    # single run, so the modal ensemble and simulate_mas compare seed for seed
+    N, R = 30, 2.0
+    ac = nw.alpha_c(1.0, 1.0, 1.0, 1.1, T, R, N)
+    cfg = sim.SimConfig(dt=0.01, horizon=40.0, history=sim.ConstantHistory(0.3))
+    Js = [nw.network_matrix(nw.RandomNet(N, R, f * ac, seed=s)) for f in (0.7, 0.95, 1.05, 1.4) for s in range(3)]
+    # the leader chain is defective and takes the direct integrator, -R I has one
+    # repeated eigenvalue, and the modes of 50 I overflow
+    Js = np.stack(Js[:6] + [nw.network_matrix(nw.Chain(N, 1.0)), -R * np.eye(N)] + Js[6:] + [50.0 * np.eye(N)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts = sim.mas_ensemble(1.0, 1.0, 1.0, 1.1, T, Js, cfg)
+    mu, V = np.linalg.eig(Js)
+    modal = np.linalg.cond(V) <= sim._MODAL_MAX_COND
+    assert np.flatnonzero(~modal).tolist() == [6]
+    n_steps = sim._n_steps(cfg.horizon, cfg.dt)
+    x0, v0 = sim._mas_initial(cfg, len(Js), N)
+    tail = sim._mas_modal_tail(1.0, 1.0, 1.0, 1.1, T, mu[modal], V[modal], x0[modal], v0[modal], n_steps, cfg.dt)
+    tails = dict(zip(np.flatnonzero(modal), tail.T))
+    compared = 0
+    for i, J in enumerate(Js):
+        res = sim.simulate_mas(1.0, 1.0, 1.0, 1.1, T, J, cfg)
+        assert verdicts[i] == res.stabilized, f"run {i}"
+        if i in tails and res.trajectory.blowup is None:
+            direct = np.linalg.norm(res.trajectory.states[sim._mas_tail_start(n_steps):], axis=1)
+            np.testing.assert_allclose(tails[i], direct, rtol=1e-9, atol=0.0, err_msg=f"run {i}")
+            compared += 1
+    assert verdicts[:3].all() and verdicts[7] and not verdicts[-4:].any()
+    assert compared >= 10
+
+
 def test_kuramoto_free_rotators_dephase():
     cfg = sim.SimConfig(dt=0.01, horizon=20.0)
     res = sim.simulate_kuramoto(400, 0.0, 0.0, 0.0, 0.0, ("constant", 0.5), cfg, seed=11, control_on=1e9)
