@@ -12,9 +12,6 @@ __version__ = "0.1.0"
 
 from .charfun import (  # noqa: F401
     CharFun,
-    ComplexPoly,
-    L_VAR,
-    MatrixFun,
     build_charfun,
     radius_bound,
 )

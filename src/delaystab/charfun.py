@@ -1,31 +1,30 @@
 """Characteristic functions of complex-gain delay systems.
 
 A system ``zdot = Q(L) z + B(L) * integral(z(t - tau) h(tau) dtau)`` with
-q-dimensional state and polynomial matrix entries in the complex gain L has
+q-dimensional state and matrix entries polynomial in the complex gain L has
 characteristic function
 
-    F(lam, L) = lam^q - sum_{k,j} P_{k,j}(L) lam^k hhat(lam)^j,
+    F(lam, L) = lam^q - sum_{k,j,d} C[k, j, d] lam^k hhat(lam)^j L^d,
 
-where hhat is the kernel transform and the sum runs over 0 <= k < q,
-k + j <= q.  This module builds that coefficient table by symbolic
-determinant expansion, evaluates F and its partial derivatives, and
-produces the semicircle radius outside which F cannot vanish in the closed
-right half-plane (the bound that makes winding-number root counting valid).
+where hhat is the kernel transform, 0 <= k < q and k + j <= q.  A CharFun is
+that one dense complex tensor C, of shape (q, q + 1, D) for L-degree D - 1.
+``build_charfun`` fills it by cofactor expansion of det[lam I - Q - B hhat];
+``eval``, ``d_lambda`` and ``d_L`` broadcast over arrays of lam and L;
+``lpoly`` is the polynomial in L at a fixed lam that the curve tracer solves;
+``radius_bound`` is the semicircle radius outside which F cannot vanish in
+the closed right half-plane (the bound that makes root counting valid).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .kernels import DelayKernel, kernel_from_dict, kernel_to_dict, laplace, laplace_derivative
 
 __all__ = [
-    "ComplexPoly",
-    "MatrixFun",
     "CharFun",
-    "L_VAR",
     "build_charfun",
     "radius_bound",
     "charfun_to_dict",
@@ -33,175 +32,40 @@ __all__ = [
 ]
 
 
-class ComplexPoly:
-    """Polynomial in L with complex coefficients, ascending degree.
-
-    Trailing zero coefficients are trimmed; the zero polynomial has an
-    empty coefficient array.  Evaluation uses Horner's scheme and accepts
-    scalars or arrays.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[complex] = ()):
-        c = np.asarray(list(coeffs), dtype=complex)
-        nz = np.nonzero(c)[0]
-        self.coeffs = c[: nz[-1] + 1] if nz.size else np.zeros(0, dtype=complex)
-        self.coeffs.setflags(write=False)
-
-    @property
-    def degree(self) -> int:
-        """Degree, or -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 0
-
-    def __call__(self, L):
-        if self.is_zero():
-            return np.zeros_like(np.asarray(L, dtype=complex))[()] if np.ndim(L) == 0 else np.zeros(np.shape(L), dtype=complex)
-        acc = np.full(np.shape(L), self.coeffs[-1], dtype=complex)
-        for c in self.coeffs[-2::-1]:
-            acc = acc * L + c
-        return acc[()] if acc.ndim == 0 else acc
-
-    def derivative(self) -> "ComplexPoly":
-        if self.degree < 1:
-            return ComplexPoly()
-        return ComplexPoly(self.coeffs[1:] * np.arange(1, len(self.coeffs)))
-
-    def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = a.copy()
-        out[: len(b)] += b
-        return ComplexPoly(out)
-
-    def __neg__(self) -> "ComplexPoly":
-        return ComplexPoly(-self.coeffs)
-
-    def __sub__(self, other: "ComplexPoly") -> "ComplexPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "ComplexPoly":
-        if np.isscalar(other):
-            return ComplexPoly(self.coeffs * complex(other))
-        if self.is_zero() or other.is_zero():
-            return ComplexPoly()
-        return ComplexPoly(np.convolve(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ComplexPoly) and np.array_equal(self.coeffs, other.coeffs)
-
-    def __repr__(self) -> str:
-        return f"ComplexPoly({list(self.coeffs)})"
-
-    def bound_on_disk(self, rho: float) -> float:
-        """Upper bound for |p(L)| over |L| <= rho via coefficient sums."""
-        if self.is_zero():
-            return 0.0
-        return float(np.sum(np.abs(self.coeffs) * rho ** np.arange(len(self.coeffs))))
+def _coeffs(entry) -> np.ndarray:
+    """A scalar or an ascending coefficient sequence as a 1-D complex array."""
+    return np.atleast_1d(np.asarray(entry, dtype=complex))
 
 
-#: The identity polynomial p(L) = L, convenient when assembling matrices.
-L_VAR = ComplexPoly((0.0, 1.0))
-
-
-def as_poly(entry) -> ComplexPoly:
-    """Coerce a matrix entry to a polynomial in L.
-
-    Accepts a ComplexPoly, a scalar (constant polynomial), or an iterable
-    of ascending coefficients.
-    """
-    if isinstance(entry, ComplexPoly):
-        return entry
-    if np.isscalar(entry):
-        return ComplexPoly((complex(entry),))
-    return ComplexPoly(entry)
-
-
-class MatrixFun:
-    """Square matrix whose entries are polynomials in L."""
-
-    def __init__(self, entries):
-        rows = [[as_poly(e) for e in row] for row in entries]
-        q = len(rows)
-        if q == 0 or any(len(r) != q for r in rows):
-            raise ValueError("matrix entries must form a nonempty square grid")
-        self.entries = rows
-        self.q = q
-
-    def value(self, L) -> np.ndarray:
-        """Numeric matrix at a specific L."""
-        return np.array([[e(L) for e in row] for row in self.entries], dtype=complex)
-
-
-# Internal representation during determinant expansion: a polynomial in
-# (lam, s, L) stored as {(k, j): L-coefficient array}.
-_TriPoly = Dict[Tuple[int, int], np.ndarray]
-
-
-def _tri_add(dst: _TriPoly, key: Tuple[int, int], coeffs: np.ndarray) -> None:
-    if key in dst:
-        a = dst[key]
-        if len(a) < len(coeffs):
-            a, coeffs = coeffs.copy(), a
-        else:
-            a = a.copy()
-        a[: len(coeffs)] += coeffs
-        dst[key] = a
-    else:
-        dst[key] = coeffs.copy()
-
-
-def _tri_mul(a: _TriPoly, b: _TriPoly) -> _TriPoly:
-    out: _TriPoly = {}
-    for (k1, j1), c1 in a.items():
-        for (k2, j2), c2 in b.items():
-            _tri_add(out, (k1 + k2, j1 + j2), np.convolve(c1, c2))
-    return out
-
-
-def _tri_scale(a: _TriPoly, factor: float) -> _TriPoly:
-    return {key: factor * c for key, c in a.items()}
-
-
-def _tri_det(m, size: int) -> _TriPoly:
-    if size == 1:
-        return m[0][0]
-    out: _TriPoly = {}
-    for r in range(size):
-        if not m[r][0]:
-            continue
-        minor = [[m[i][c] for c in range(1, size)] for i in range(size) if i != r]
-        term = _tri_mul(m[r][0], _tri_det(minor, size - 1))
-        if r % 2:
-            term = _tri_scale(term, -1.0)
-        for key, c in term.items():
-            _tri_add(out, key, c)
-    return out
+def _horner(c: np.ndarray, L) -> np.ndarray:
+    """sum_d c[..., d] L^d for every leading index of c, broadcast against L."""
+    L = np.asarray(L, dtype=complex)
+    c = c.reshape(c.shape[:-1] + (1,) * L.ndim + c.shape[-1:])
+    acc = c[..., -1]
+    for d in range(c.shape[-1] - 2, -1, -1):
+        acc = acc * L + c[..., d]
+    return acc
 
 
 class CharFun:
-    """Characteristic function as a coefficient table over lam^k * hhat^j.
+    """Characteristic function as the coefficient tensor C[k, j, d].
 
-    ``terms`` maps (k, j) to the polynomial P_{k,j}(L); the leading lam^q
-    term is implicit with coefficient one.  Inputs whose top lam-degree
-    carries a transform factor (j >= 1 at k = q) describe neutral-type
-    dynamics, for which root counting by contour breaks down; such tables
-    are rejected.
+    ``terms`` maps (k, j) to the coefficients of P_{k,j}(L), the factor of
+    lam^k hhat^j: a scalar or a sequence ascending in L.  A transform factor
+    on the top degree (j >= 1 at k = q) means neutral-type dynamics, for
+    which contour root counting breaks down; such tables are rejected.
+    ``support`` lists the (k, j) of nonzero P_{k,j} by descending k, then
+    ascending j, as the cofactor expansion produces them; every method sums
+    the terms in that order.
     """
 
-    def __init__(self, q: int, kernel: DelayKernel, terms: Dict[Tuple[int, int], ComplexPoly]):
+    def __init__(self, q: int, kernel: DelayKernel, terms: Mapping[Tuple[int, int], Sequence[complex]]):
         if q < 1:
             raise ValueError(f"system dimension must be >= 1, got {q}")
-        clean: Dict[Tuple[int, int], ComplexPoly] = {}
-        for (k, j), poly in terms.items():
-            poly = as_poly(poly)
-            if poly.is_zero():
+        rows = {}
+        for (k, j), entry in terms.items():
+            c = np.trim_zeros(_coeffs(entry), "b")
+            if not c.size:
                 continue
             if k == q and j >= 1:
                 raise ValueError(
@@ -212,106 +76,120 @@ class CharFun:
                 raise ValueError(f"term lam^{k} conflicts with the monic leading term (q={q})")
             if k < 0 or j < 0 or k + j > q:
                 raise ValueError(f"term exponents out of range: k={k}, j={j}, q={q}")
-            clean[(k, j)] = poly
+            rows[(k, j)] = c
+        C = np.zeros((q, q + 1, max(map(len, rows.values()), default=1)), dtype=complex)
+        for (k, j), c in rows.items():
+            C[k, j, : len(c)] = c
+        C.setflags(write=False)
         self.q = q
         self.kernel = kernel
-        self.terms = clean
+        self.C = C
+        self._dC = np.zeros_like(C)  # coefficients of dP_{k,j}/dL
+        self._dC[..., :-1] = C[..., 1:] * np.arange(1, C.shape[2])
+        self.support = [(k, j) for k in range(q - 1, -1, -1) for j in range(q + 1) if C[k, j].any()]
 
     def delay_free(self) -> bool:
         """True when no term involves the kernel transform."""
-        return all(j == 0 for (_, j) in self.terms)
+        return not self.C[:, 1:].any()
 
-    def eval(self, lam, L: complex):
-        """F(lam, L); ``lam`` may be a scalar or an array."""
+    def eval(self, lam, L):
+        """F(lam, L); ``lam`` and ``L`` may be scalars or broadcastable arrays."""
         lam = np.asarray(lam, dtype=complex)
         hh = laplace(self.kernel, lam)
+        P = _horner(self.C, L)
         acc = lam**self.q
-        for (k, j), poly in self.terms.items():
-            acc = acc - poly(L) * lam**k * hh**j
+        for k, j in self.support:
+            acc = acc - P[k, j] * lam**k * hh**j
         return acc[()] if np.ndim(acc) == 0 else acc
 
-    def d_lambda(self, lam, L: complex):
+    def d_lambda(self, lam, L):
         """Partial derivative of F in lam."""
         lam = np.asarray(lam, dtype=complex)
         hh = laplace(self.kernel, lam)
         hhp = laplace_derivative(self.kernel, lam)
+        P = _horner(self.C, L)
         acc = self.q * lam ** (self.q - 1)
-        for (k, j), poly in self.terms.items():
-            p = poly(L)
+        for k, j in self.support:
             term = 0.0
             if k > 0:
                 term = term + k * lam ** (k - 1) * hh**j
             if j > 0:
                 term = term + lam**k * j * hh ** (j - 1) * hhp
-            acc = acc - p * term
+            acc = acc - P[k, j] * term
         return acc[()] if np.ndim(acc) == 0 else acc
 
-    def d_L(self, lam, L: complex):
+    def d_L(self, lam, L):
         """Partial derivative of F in L."""
         lam = np.asarray(lam, dtype=complex)
         hh = laplace(self.kernel, lam)
+        dP = _horner(self._dC, L)
         acc = np.zeros(lam.shape, dtype=complex)
-        for (k, j), poly in self.terms.items():
-            acc = acc - poly.derivative()(L) * lam**k * hh**j
+        for k, j in self.support:
+            acc = acc - dP[k, j] * lam**k * hh**j
         return acc[()] if np.ndim(acc) == 0 else acc
 
     def lpoly(self, lam: complex) -> np.ndarray:
-        """Coefficients (ascending in L) of L -> F(lam, L) at fixed lam.
-
-        The crossing-curve tracer solves this polynomial at lam = i*beta.
-        """
+        """Coefficients (ascending in L) of L -> F(lam, L) at fixed lam, solved at lam = i*beta."""
         lam = complex(lam)
         hh = laplace(self.kernel, lam)
-        deg = max((poly.degree for poly in self.terms.values()), default=0)
-        out = np.zeros(max(deg + 1, 1), dtype=complex)
+        out = np.zeros(self.C.shape[2], dtype=complex)
         out[0] = lam**self.q
-        for (k, j), poly in self.terms.items():
-            out[: len(poly.coeffs)] -= poly.coeffs * lam**k * hh**j
+        for k, j in self.support:
+            out -= self.C[k, j] * lam**k * hh**j
         return out
 
     def __repr__(self) -> str:
-        keys = sorted(self.terms)
-        return f"CharFun(q={self.q}, kernel={self.kernel!r}, terms={keys})"
+        return f"CharFun(q={self.q}, kernel={self.kernel!r}, terms={self.support})"
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two polynomials in (lam, hhat, L) held as dense [k, j, d] arrays,
+    truncated to their shape (sized for the largest degree the determinant reaches)."""
+    K, J, D = a.shape
+    out = np.zeros_like(a)
+    for k, j, d in np.argwhere(a):
+        out[k:, j:, d:] += a[k, j, d] * b[: K - k, : J - j, : D - d]
+    return out
+
+
+def _det(M: np.ndarray) -> np.ndarray:
+    """Cofactor expansion along the first column of a grid M[r, c, k, j, d]."""
+    if len(M) == 1:
+        return M[0, 0]
+    out = np.zeros_like(M[0, 0])
+    for r in range(len(M)):
+        if M[r, 0].any():
+            term = _mul(M[r, 0], _det(np.delete(M[:, 1:], r, axis=0)))
+            out = out - term if r % 2 else out + term
+    return out
 
 
 def build_charfun(Q, B, kernel: DelayKernel) -> CharFun:
     """Expand det[lam I - Q(L) - B(L) * hhat(lam)] into a CharFun.
 
-    ``lam`` and the transform value are treated as independent indeterminates
-    during expansion; cofactor recursion is fine at the small dimensions used
-    here.
+    Each matrix entry is a scalar or a sequence of coefficients ascending in
+    L.  ``lam`` and hhat are independent indeterminates during the expansion;
+    cofactor recursion is fine at the small dimensions used here.
     """
-    Q = Q if isinstance(Q, MatrixFun) else MatrixFun(Q)
-    B = B if isinstance(B, MatrixFun) else MatrixFun(B)
-    if Q.q != B.q:
-        raise ValueError(f"dimension mismatch: Q is {Q.q}x{Q.q}, B is {B.q}x{B.q}")
-    q = Q.q
-    grid = []
+    Q, B = ([[_coeffs(e) for e in row] for row in X] for X in (Q, B))
+    if any(not X or any(len(row) != len(X) for row in X) for X in (Q, B)):
+        raise ValueError("matrix entries must form a nonempty square grid")
+    q = len(Q)
+    if len(B) != q:
+        raise ValueError(f"dimension mismatch: Q is {q}x{q}, B is {len(B)}x{len(B)}")
+    deg = max(len(c) for row in Q + B for c in row) - 1
+    M = np.zeros((q, q, q + 1, q + 1, q * max(deg, 0) + 1), dtype=complex)
     for r in range(q):
-        row = []
+        M[r, r, 1, 0, 0] = 1.0
         for c in range(q):
-            cell: _TriPoly = {}
-            if r == c:
-                cell[(1, 0)] = np.array([1.0 + 0.0j])
-            qpoly = Q.entries[r][c]
-            if not qpoly.is_zero():
-                _tri_add(cell, (0, 0), -qpoly.coeffs)
-            bpoly = B.entries[r][c]
-            if not bpoly.is_zero():
-                _tri_add(cell, (0, 1), -bpoly.coeffs)
-            row.append(cell)
-        grid.append(row)
-    det = _tri_det(grid, q)
-
-    lead = det.pop((q, 0), None)
-    if lead is None or len(lead) != 1 or abs(lead[0] - 1.0) > 1e-12:
+            M[r, c, 0, 0, : len(Q[r][c])] = -Q[r][c]
+            M[r, c, 0, 1, : len(B[r][c])] = -B[r][c]
+    det = _det(M)
+    det[q, 0, 0] -= 1.0  # the lam^q coefficient must be exactly the unit
+    if np.abs(det[q]).max() > 1e-12:
         raise ValueError("determinant expansion is not monic in lam^q")
-    terms: Dict[Tuple[int, int], ComplexPoly] = {}
-    for (k, j), coeffs in det.items():
-        poly = ComplexPoly(-coeffs)
-        if not poly.is_zero():
-            terms[(k, j)] = poly
-    return CharFun(q, kernel, terms)
+    C = 0.0 - det[:q]  # 0 - x, not -x, so that zero coefficients stay +0
+    return CharFun(q, kernel, {(k, j): C[k, j] for k in range(q) for j in range(q + 1)})
 
 
 def radius_bound(F: CharFun, center: complex, radius: float) -> float:
@@ -325,10 +203,10 @@ def radius_bound(F: CharFun, center: complex, radius: float) -> float:
     if radius < 0 or not np.isfinite(radius) or not np.isfinite(center):
         raise ValueError("window must be bounded: finite center, nonnegative radius")
     rho = abs(center) + radius
-    bounds = [(k, poly.bound_on_disk(rho)) for (k, j), poly in F.terms.items()]
+    m = np.sum(np.abs(F.C) * rho ** np.arange(F.C.shape[2]), axis=2)
     R = 1.0
     for _ in range(200):
-        total = sum(m * R ** (k - F.q) for k, m in bounds)
+        total = sum(m[k, j] * R ** (k - F.q) for k, j in F.support)
         if total <= 0.5:
             return R
         R *= 2.0
@@ -340,15 +218,12 @@ def charfun_to_dict(F: CharFun) -> dict:
         "q": F.q,
         "kernel": kernel_to_dict(F.kernel),
         "terms": [
-            {"k": k, "j": j, "poly": [[float(c.real), float(c.imag)] for c in poly.coeffs]}
-            for (k, j), poly in sorted(F.terms.items())
+            {"k": k, "j": j, "poly": [[float(c.real), float(c.imag)] for c in np.trim_zeros(F.C[k, j], "b")]}
+            for k, j in sorted(F.support)
         ],
     }
 
 
 def charfun_from_dict(d: dict) -> CharFun:
-    terms = {
-        (int(t["k"]), int(t["j"])): ComplexPoly([complex(re, im) for re, im in t["poly"]])
-        for t in d["terms"]
-    }
+    terms = {(int(t["k"]), int(t["j"])): [complex(re, im) for re, im in t["poly"]] for t in d["terms"]}
     return CharFun(int(d["q"]), kernel_from_dict(d["kernel"]), terms)

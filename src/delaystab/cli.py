@@ -28,7 +28,7 @@ from . import io as dio
 from . import networks as nw
 from . import presets
 from . import simulate as sim
-from .charfun import CharFun, ComplexPoly, build_charfun
+from .charfun import CharFun, build_charfun
 from .kernels import kernel_from_dict
 from .regions import nu_map, stability_region, trace_covering
 from .scc import trace
@@ -178,12 +178,28 @@ def _charfun_from_config(config: dict) -> CharFun:
     sysd = config["system"]
 
     def grid(rows):
-        return [[ComplexPoly([complex(re, im) for re, im in entry]) for entry in row] for row in rows]
+        return [[[complex(re, im) for re, im in entry] for entry in row] for row in rows]
 
     try:
         return build_charfun(grid(sysd["Q"]), grid(sysd["B"]), kernel_from_dict(sysd["kernel"]))
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e))
+
+
+def _check_geometry(config: dict) -> None:
+    """Reject an empty beta range, a nonpositive step, an unordered window or a map under 2x2."""
+    if "beta" in config:
+        b = config["beta"]
+        if not b["hi"] > b["lo"]:
+            raise ConfigError(f"empty beta range: lo={b['lo']} must be below hi={b['hi']}")
+        if not b["step"] > 0:
+            raise ConfigError(f"beta step must be positive, got {b['step']}")
+    if "window" in config:
+        re_lo, re_hi, im_lo, im_hi = config["window"]
+        if not (re_hi > re_lo and im_hi > im_lo):
+            raise ConfigError(f"window must be [re_lo, re_hi, im_lo, im_hi] with lo < hi, got {config['window']}")
+    if "resolution" in config and min(config["resolution"]) < 2:
+        raise ConfigError(f"resolution must be at least 2x2, got {config['resolution']}")
 
 
 def _sim_config(doc: dict) -> sim.SimConfig:
@@ -210,6 +226,7 @@ def _pmap(fn, items, jobs: int):
 
 
 def cmd_scc(config: dict, out: Path, args) -> List[str]:
+    _check_geometry(config)
     F = _charfun_from_config(config)
     b = config["beta"]
     window = tuple(config["window"]) if "window" in config else None
@@ -223,6 +240,7 @@ def cmd_scc(config: dict, out: Path, args) -> List[str]:
 
 
 def cmd_numap(config: dict, out: Path, args) -> List[str]:
+    _check_geometry(config)
     F = _charfun_from_config(config)
     window = tuple(config["window"])
     nx, ny = config["resolution"]

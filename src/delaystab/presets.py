@@ -9,7 +9,7 @@ the controlled oscillator population.
 
 from __future__ import annotations
 
-from .charfun import CharFun, ComplexPoly, L_VAR, build_charfun
+from .charfun import CharFun, build_charfun
 from .kernels import DelayKernel, Dirac, Exponential, Gamma
 
 __all__ = [
@@ -26,12 +26,12 @@ __all__ = [
 
 def scalar_discrete(a: float, d: float, tau: float) -> CharFun:
     """zdot = (a + i d) z + L z(t - tau)."""
-    return build_charfun([[complex(a, d)]], [[L_VAR]], Dirac(tau))
+    return build_charfun([[complex(a, d)]], [[[0, 1]]], Dirac(tau))
 
 
 def scalar_gamma(a: float, n: int, T: float) -> CharFun:
     """zdot = a z + L * (Gamma(n, T)-distributed delay of z)."""
-    return build_charfun([[complex(a)]], [[L_VAR]], Gamma(n, T))
+    return build_charfun([[complex(a)]], [[[0, 1]]], Gamma(n, T))
 
 
 def coupling_mode(kernel: DelayKernel) -> CharFun:
@@ -40,7 +40,7 @@ def coupling_mode(kernel: DelayKernel) -> CharFun:
     This is the per-eigenvalue mode of the velocity-matching vehicle
     network after diagonalizing the coupling matrix.
     """
-    return build_charfun([[0.0]], [[L_VAR]], kernel)
+    return build_charfun([[0.0]], [[[0, 1]]], kernel)
 
 
 def pd_agent_mode(a: float, b: float, k1: float, k2: float, T: float) -> CharFun:
@@ -51,7 +51,7 @@ def pd_agent_mode(a: float, b: float, k1: float, k2: float, T: float) -> CharFun
     T = 0 degenerates to undelayed coupling (unit transform).
     """
     Q = [[0.0, 1.0], [complex(b), complex(a)]]
-    B = [[0.0, 0.0], [k1 * L_VAR, k2 * L_VAR]]
+    B = [[0.0, 0.0], [[0, k1], [0, k2]]]
     kernel: DelayKernel = Exponential(T) if T > 0 else Dirac(0.0)
     return build_charfun(Q, B, kernel)
 
@@ -61,7 +61,7 @@ def oscillator_mode(K: float, d: float, kernel: DelayKernel) -> CharFun:
 
     rdot = (K/2 - 1 + i d) r + L * (kernel-distributed delay of r).
     """
-    return build_charfun([[complex(K / 2.0 - 1.0, d)]], [[L_VAR]], kernel)
+    return build_charfun([[complex(K / 2.0 - 1.0, d)]], [[[0, 1]]], kernel)
 
 
 def growth_with_feedback() -> CharFun:
@@ -71,8 +71,7 @@ def growth_with_feedback() -> CharFun:
 
 def drift_difference_coupling() -> CharFun:
     """zdot = 0.1(1+i) z + L (z(t-1) - z): complex drift, difference coupling."""
-    drift = ComplexPoly((complex(0.1, 0.1),))
-    return build_charfun([[drift - L_VAR]], [[L_VAR]], Dirac(1.0))
+    return build_charfun([[[complex(0.1, 0.1), -1]]], [[[0, 1]]], Dirac(1.0))
 
 
 # CLI-facing names.

@@ -136,12 +136,11 @@ def nu_contour(
 
 def _nu_polynomial(F: CharFun, L: complex) -> int:
     """Right-half-plane root count for delay-free tables, via companion roots."""
+    if not F.delay_free():
+        raise ValueError("polynomial counting requires a delay-free table")
     coeffs = np.zeros(F.q + 1, dtype=complex)
     coeffs[F.q] = 1.0
-    for (k, j), poly in F.terms.items():
-        if j != 0:
-            raise ValueError("polynomial counting requires a delay-free table")
-        coeffs[k] -= poly(L)
+    coeffs[: F.q] -= np.polyval(F.C[:, 0, ::-1].T, L)
     roots = poly_roots(coeffs)
     return int(np.sum(roots.real >= 0.0))
 

@@ -81,7 +81,7 @@ class SccBranch:
         seed = complex(np.interp(b, self.beta, self.L.real) + 1j * np.interp(b, self.beta, self.L.imag))
         if self.charfun is None:
             return seed
-        return _newton_polish(self.charfun, b, seed)
+        return _newton_polish(self.charfun.lpoly(1j * b), seed)
 
     def tangent_at(self, beta: float) -> complex:
         """Implicit-formula tangent at an arbitrary beta (traced branches)."""
@@ -116,8 +116,8 @@ class CrossingReport:
     flag: Optional[str] = None
 
 
-def _newton_polish(F: CharFun, beta: float, L0: complex, *, steps: int = 12, tol: float = 1e-13) -> complex:
-    coeffs = F.lpoly(1j * beta)
+def _newton_polish(coeffs: np.ndarray, L0: complex, *, steps: int = 12, tol: float = 1e-13) -> complex:
+    """Newton on the gain polynomial with ascending ``coeffs``, from ``L0``."""
     dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
     L = L0
     for _ in range(steps):
@@ -144,7 +144,7 @@ def _solve_nodes(F: CharFun, beta: float) -> np.ndarray:
     if scale == 0.0 or not np.isfinite(scale):
         raise IdenticallySingularError(f"characteristic function vanishes identically in L at beta={beta}")
     roots = poly_roots(coeffs)
-    return np.array([_newton_polish(F, beta, r) for r in roots], dtype=complex)
+    return np.array([_newton_polish(coeffs, r) for r in roots], dtype=complex)
 
 
 def _greedy_match(prev: np.ndarray, new: np.ndarray) -> List[Tuple[int, int, float]]:
@@ -308,12 +308,12 @@ def _finalize_branch(F: CharFun, raw: dict, residual_tol: float) -> SccBranch:
     beta = np.asarray(raw["beta"], dtype=float)
     L = np.asarray(raw["L"], dtype=complex)
     lam = 1j * beta
-    residual = np.abs(_eval_nodes(F, lam, L))
+    residual = np.abs(F.eval(lam, L))
     worst = float(np.max(residual))
     if worst > residual_tol:
         raise TraceResidualError(f"branch residual {worst:.3e} exceeds {residual_tol:.1e}")
-    dl = _d_lambda_nodes(F, lam, L)
-    dL = _d_L_nodes(F, lam, L)
+    dl = F.d_lambda(lam, L)
+    dL = F.d_L(lam, L)
     tangent_ok = dL != 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         tangent = np.where(tangent_ok, -1j * dl / np.where(tangent_ok, dL, 1.0), np.nan + 1j * np.nan)
@@ -334,18 +334,6 @@ def _finalize_branch(F: CharFun, raw: dict, residual_tol: float) -> SccBranch:
         root_index=raw["slot"],
         charfun=F,
     )
-
-
-def _eval_nodes(F: CharFun, lam: np.ndarray, L: np.ndarray) -> np.ndarray:
-    return np.array([F.eval(l, x) for l, x in zip(lam, L)], dtype=complex)
-
-
-def _d_lambda_nodes(F: CharFun, lam: np.ndarray, L: np.ndarray) -> np.ndarray:
-    return np.array([F.d_lambda(l, x) for l, x in zip(lam, L)], dtype=complex)
-
-
-def _d_L_nodes(F: CharFun, lam: np.ndarray, L: np.ndarray) -> np.ndarray:
-    return np.array([F.d_L(l, x) for l, x in zip(lam, L)], dtype=complex)
 
 
 def polar_profile(branch: SccBranch):

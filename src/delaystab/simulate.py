@@ -328,7 +328,10 @@ def _carfollowing_rk4(n: int, N: int, alpha, rate, chain: bool, cfg: SimConfig, 
         dy = np.empty_like(y)
         dy[:, :N] = alphas * st[:, -1]
         ds = dy[:, N:].reshape(C, n, N)
-        ds[:, 0] = rate * (np.roll(x, -1, axis=1) - x - st[:, 0])
+        gap = np.empty_like(x)  # x[i + 1] - x[i], closing the ring at the end
+        np.subtract(x[:, 1:], x[:, :-1], out=gap[:, :-1])
+        np.subtract(x[:, :1], x[:, -1:], out=gap[:, -1:])
+        ds[:, 0] = rate * (gap - st[:, 0])
         if n > 1:
             ds[:, 1:] = rate[:, :, None] * (st[:, :-1] - st[:, 1:])
         return dy

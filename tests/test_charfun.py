@@ -6,14 +6,12 @@ import pytest
 from delaystab import presets
 from delaystab.charfun import (
     CharFun,
-    ComplexPoly,
-    L_VAR,
     build_charfun,
     charfun_from_dict,
     charfun_to_dict,
     radius_bound,
 )
-from delaystab.kernels import Dirac, Gamma, laplace
+from delaystab.kernels import Dirac, Gamma, Uniform, laplace
 
 
 def _random_system(rng, q):
@@ -21,7 +19,7 @@ def _random_system(rng, q):
     def grid():
         return [
             [
-                ComplexPoly(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+                rng.standard_normal(2) + 1j * rng.standard_normal(2)
                 for _ in range(q)
             ]
             for _ in range(q)
@@ -37,6 +35,13 @@ SYSTEMS = [
     presets.scalar_gamma(1.0, 2, 0.8),
     presets.pd_agent_mode(1.0, 1.0, 1.0, 1.1, 0.2),
     presets.coupling_mode(Gamma(2, 0.6)),
+    presets.coupling_mode(Uniform(0.2, 0.5)),
+    # a custom q = 3 system with complex entries up to cubic in L
+    build_charfun(
+        [[[0.2j, -1.0], 1.0, 0.0], [0.0, [0.5, 0.0, 0.3 - 0.1j], 1.0], [-0.4, 0.0, [-1.0, 0.0, 0.0, 0.2]]],
+        [[0.0, 0.0, 0.0], [[0.0, 0.3j], 0.0, 0.0], [[0.1, 0.7], [0.0, 0.0, 0.5], [0.0, -0.6 + 0.2j]]],
+        Dirac(0.4),
+    ),
 ]
 
 
@@ -88,13 +93,14 @@ def test_determinant_expansion_matches_direct(q):
     Q, B = _random_system(rng, q)
     kernel = Gamma(2, 0.7)
     F = build_charfun(Q, B, kernel)
-    from delaystab.charfun import MatrixFun
 
-    Qm, Bm = MatrixFun(Q), MatrixFun(B)
+    def value(grid, L):
+        return np.array([[np.polyval(e[::-1], L) for e in row] for row in grid])
+
     for _ in range(200 // q):
         lam = complex(rng.standard_normal(), rng.standard_normal())
         L = complex(rng.standard_normal(), rng.standard_normal())
-        direct = np.linalg.det(lam * np.eye(q) - Qm.value(L) - Bm.value(L) * laplace(kernel, lam))
+        direct = np.linalg.det(lam * np.eye(q) - value(Q, L) - value(B, L) * laplace(kernel, lam))
         built = F.eval(lam, L)
         assert abs(built - direct) <= 1e-10 * max(1.0, abs(direct))
 
@@ -123,7 +129,7 @@ def test_hand_derivatives():
 
 def test_radius_bound_single_term():
     # F = lam - c with |c| <= 1 on the window
-    F = CharFun(1, Dirac(0.0), {(0, 0): ComplexPoly([0.6 + 0.8j])})
+    F = CharFun(1, Dirac(0.0), {(0, 0): [0.6 + 0.8j]})
     R = radius_bound(F, 0.0, 0.0)
     assert R <= 4.0
 
@@ -154,14 +160,14 @@ def test_radius_bound_excludes_roots(F):
 
 def test_neutral_type_rejected():
     with pytest.raises(ValueError, match="neutral"):
-        CharFun(1, Dirac(1.0), {(1, 1): L_VAR})
+        CharFun(1, Dirac(1.0), {(1, 1): [0, 1]})
     with pytest.raises(ValueError):
-        CharFun(2, Dirac(1.0), {(2, 0): ComplexPoly([1.0])})
+        CharFun(2, Dirac(1.0), {(2, 0): [1.0]})
 
 
 def test_term_range_validation():
     with pytest.raises(ValueError):
-        CharFun(2, Dirac(1.0), {(1, 2): ComplexPoly([1.0])})  # k + j > q
+        CharFun(2, Dirac(1.0), {(1, 2): [1.0]})  # k + j > q
 
 
 def test_dimension_mismatch():
@@ -191,11 +197,30 @@ def test_json_roundtrip():
         assert G.eval(lam, L) == pytest.approx(F.eval(lam, L), rel=1e-14)
 
 
-def test_poly_basics():
-    p = ComplexPoly([1.0, 0.0, 2.0])
-    assert p.degree == 2
-    assert p(2.0) == pytest.approx(9.0)
-    assert p.derivative() == ComplexPoly([0.0, 4.0])
-    assert (p - p).is_zero()
-    assert ComplexPoly([0.0, 0.0]).is_zero()
-    assert (2.0 * L_VAR)(3.0) == pytest.approx(6.0)
+@pytest.mark.parametrize("F", SYSTEMS, ids=lambda f: f"q{f.q}")
+def test_array_calls_match_elementwise(F):
+    rng = np.random.default_rng(23)
+    lam = rng.uniform(-1, 1, (4, 5)) + 1j * rng.uniform(-3, 3, (4, 5))
+    L = rng.uniform(-3, 3, (4, 5)) + 1j * rng.uniform(-3, 3, (4, 5))
+    for method in (F.eval, F.d_lambda, F.d_L):
+        for a, b in ((lam, L), (lam, L[0, 0]), (lam[0, 0], L), (lam[:, :1], L[:1, :])):
+            got = method(a, b)
+            a_b, b_b = np.broadcast_arrays(a, b)
+            assert got.shape == a_b.shape
+            want = np.array([method(x, y) for x, y in zip(a_b.ravel(), b_b.ravel())]).reshape(a_b.shape)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1e-300))
+
+
+def test_tensor_layout():
+    F = presets.pd_agent_mode(1.0, 2.0, 3.0, 4.0, 0.5)
+    # F = lam^2 - lam - 2 - (3 + 4 lam) L hhat
+    assert F.C.shape == (2, 3, 2)
+    assert F.support == [(1, 0), (1, 1), (0, 0), (0, 1)]
+    assert F.C[0, 0].tolist() == [2.0, 0.0]
+    assert F.C[1, 0].tolist() == [1.0, 0.0]
+    assert F.C[0, 1].tolist() == [0.0, 3.0]
+    assert F.C[1, 1].tolist() == [0.0, 4.0]
+    # trailing zero coefficients are trimmed, and serialization drops them
+    G = CharFun(1, Dirac(1.0), {(0, 0): [1.0, 0.0, 0.0], (0, 1): 0.0})
+    assert G.C.shape == (1, 2, 1) and G.support == [(0, 0)]
+    assert charfun_to_dict(G)["terms"] == [{"k": 0, "j": 0, "poly": [[1.0, 0.0]]}]

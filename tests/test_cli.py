@@ -102,6 +102,22 @@ def test_carfollowing_on_random_network_exit_2_writes_nothing(tmp_path):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, change", [
+    ("numap", {"window": [1, 0, -2, 2]}),
+    ("numap", {"resolution": [0, 11]}),
+    ("scc", {"beta": {"lo": 2, "hi": -2, "step": 0.1}}),
+    ("scc", {"beta": {"lo": -2, "hi": 2, "step": 0}}),
+], ids=["inverted-window", "zero-resolution", "reversed-beta", "zero-step"])
+def test_bad_geometry_exit_2_writes_nothing(tmp_path, command, change):
+    config = {"preset": "growth-feedback", "beta": {"lo": -2, "hi": 2, "step": 0.1}}
+    if command == "numap":
+        config.update(window=[-1, 1, -1, 1], resolution=[11, 11])
+    config.update(change)
+    code, out = run(tmp_path, command, config)
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
 def test_missing_preset_and_system_exit_2(tmp_path):
     code, _ = run(tmp_path, "scc", {"beta": {"lo": 0, "hi": 1, "step": 0.1}})
     assert code == 2

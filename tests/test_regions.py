@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from delaystab import presets
-from delaystab.charfun import CharFun, ComplexPoly
+from delaystab.charfun import CharFun
 from delaystab.kernels import Dirac
 from delaystab.regions import (
     OnSccError,
@@ -30,7 +30,7 @@ def test_nu_contour_examples():
     assert nu_contour(presets.growth_with_feedback(), 0.0) == 1
     assert nu_contour(presets.drift_difference_coupling(), 0.0) == 1
     # zdot = -z: no delay influence, single stable root
-    F = CharFun(1, Dirac(0.0), {(0, 0): ComplexPoly([-1.0])})
+    F = CharFun(1, Dirac(0.0), {(0, 0): [-1.0]})
     for L in (0.0, 5.0, -3.0 + 2.0j):
         assert nu_contour(F, L) == 0
 
@@ -145,7 +145,7 @@ def test_stability_region_unbounded_is_clipped():
 
 
 def test_anchor_polynomial_method_for_delay_free():
-    F = CharFun(2, Dirac(0.0), {(0, 0): ComplexPoly([1.0]), (1, 0): ComplexPoly([0.5])})
+    F = CharFun(2, Dirac(0.0), {(0, 0): [1.0], (1, 0): [0.5]})
     # F = lam^2 - 0.5 lam - 1: one positive, one negative root, no L dependence
     m = nu_map(F, (-1.0, 1.0, -1.0, 1.0), (8, 8), [])
     assert m.anchor[1] == 1
