@@ -39,7 +39,6 @@ from .scc import (  # noqa: F401
     CrossingReport,
     SccBranch,
     crossing_at,
-    polar_profile,
     self_intersection,
     trace,
 )

@@ -128,6 +128,17 @@ class CharFun:
             acc = acc - dP[k, j] * lam**k * hh**j
         return acc[()] if np.ndim(acc) == 0 else acc
 
+    def term_size(self, lam, L):
+        """|lam|^q + sum |P_{k,j}(L) lam^k hhat^j|: the scale of F's rounding error."""
+        lam = np.asarray(lam, dtype=complex)
+        hh = np.abs(laplace(self.kernel, lam))
+        P = np.abs(_horner(self.C, L))
+        r = np.abs(lam)
+        acc = r**self.q
+        for k, j in self.support:
+            acc = acc + P[k, j] * r**k * hh**j
+        return acc
+
     def lpoly(self, lam: complex) -> np.ndarray:
         """Coefficients (ascending in L) of L -> F(lam, L) at fixed lam, solved at lam = i*beta."""
         lam = complex(lam)

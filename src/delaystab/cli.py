@@ -264,19 +264,26 @@ def cmd_critical(config: dict, out: Path, args) -> List[str]:
             raise ConfigError(f"critical/{which} missing parameters: {missing}")
         return [config[k] for k in names]
 
-    if which == "carfollowing":
-        n, N, alpha = need("n", "N", "alpha")
-        doc = {"Tc": nw.carfollowing_Tc(n, N, alpha)}
-    elif which == "chain":
-        n, alpha = need("n", "alpha")
-        tc = nw.chain_Tc(n, alpha)
-        doc = {"Tc": "inf" if np.isinf(tc) else tc}
-    elif which == "mas":
-        a, b, k1, k2 = need("a", "b", "k1", "k2")
-        doc = {"Tc1": nw.mas_Tc1(a, b, k1, k2), "Tc2": nw.mas_Tc2(a, k1, k2)}
-    else:
-        a, b, k1, k2, T, R, N = need("a", "b", "k1", "k2", "T", "R", "N")
-        doc = {"alpha_c": nw.alpha_c(a, b, k1, k2, T, R, N)}
+    try:
+        if which == "carfollowing":
+            n, N, alpha = need("n", "N", "alpha")
+            doc = {"Tc": nw.carfollowing_Tc(n, N, alpha)}
+        elif which == "chain":
+            n, alpha = need("n", "alpha")
+            tc = nw.chain_Tc(n, alpha)
+            doc = {"Tc": "inf" if np.isinf(tc) else tc}
+        elif which == "mas":
+            a, b, k1, k2 = need("a", "b", "k1", "k2")
+            doc = {"Tc1": nw.mas_Tc1(a, b, k1, k2), "Tc2": nw.mas_Tc2(a, k1, k2)}
+        else:
+            a, b, k1, k2, T, R, N = need("a", "b", "k1", "k2", "T", "R", "N")
+            doc = {"alpha_c": nw.alpha_c(a, b, k1, k2, T, R, N)}
+    except ConfigError:
+        raise
+    except (ValueError, ZeroDivisionError) as e:
+        # the closed forms raise these only for parameter values outside
+        # their domain (n < 1, alpha <= 0, b = 0, N = 0, an unstable anchor)
+        raise ConfigError(f"critical/{which}: {type(e).__name__}: {e}")
     (out / "critical.json").write_text(json.dumps(doc, indent=1) + "\n")
     return ["critical.json"]
 
@@ -322,7 +329,8 @@ def cmd_simulate(config: dict, out: Path, args) -> List[str]:
             ship(res.trajectory)
             (out / "stabilized.json").write_text(json.dumps({"stabilized": res.stabilized}) + "\n")
             outputs.append("stabilized.json")
-            dio.write_spectrum_csv(out / "spectrum.csv", nw.spectrum(net).eigenvalues)
+            mu = nw.spectrum(net).eigenvalues
+            dio.write_columns_csv(out / "spectrum.csv", ["re", "im"], mu.real, mu.imag)
             outputs.append("spectrum.csv")
         elif model == "kuramoto":
             res = sim.simulate_kuramoto(
@@ -386,10 +394,8 @@ def cmd_reproduce(config: dict, out: Path, args) -> List[str]:
         Ts = (np.arange(nxy[1]) + 0.5) * 2.0 / nxy[1]
         rates = sim.carfollowing_rate_grid(n, N, alphas, Ts, cfg)
         dio.write_heat_csv(out / "rates.csv", "alpha", alphas, "T", Ts, rates)
-        tc = np.array([nw.carfollowing_Tc(n, N, a) for a in alphas])
-        (out / "analytic_Tc.csv").write_text(
-            "alpha,Tc\n" + "\n".join(f"{a!r},{t!r}" for a, t in zip(alphas, tc)) + "\n"
-        )
+        tc = [nw.carfollowing_Tc(n, N, a) for a in alphas]
+        dio.write_columns_csv(out / "analytic_Tc.csv", ["alpha", "Tc"], alphas, tc)
         outputs += ["rates.csv", "analytic_Tc.csv"]
     elif fig == "fig15-heat":
         R = config.get("R", 2.0)
@@ -414,9 +420,7 @@ def cmd_reproduce(config: dict, out: Path, args) -> List[str]:
             freq[idx] = val
         dio.write_heat_csv(out / "frequency.csv", "alpha", alphas, "T", Ts, freq)
         ac = [nw.alpha_c(1.0, 1.0, 1.0, 1.1, t, R, N) for t in Ts]
-        (out / "analytic_alpha_c.csv").write_text(
-            "T,alpha_c\n" + "\n".join(f"{t!r},{a!r}" for t, a in zip(Ts, ac)) + "\n"
-        )
+        dio.write_columns_csv(out / "analytic_alpha_c.csv", ["T", "alpha_c"], Ts, ac)
         outputs += ["frequency.csv", "analytic_alpha_c.csv"]
     else:  # fig16-series
         case = config.get("case", "a")

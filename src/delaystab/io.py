@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from pathlib import Path
 from typing import List, Sequence
 
@@ -25,7 +24,7 @@ __all__ = [
     "write_boundaries_json",
     "write_trajectory_csv",
     "write_kuramoto_csv",
-    "write_spectrum_csv",
+    "write_columns_csv",
     "write_phases_csv",
     "write_heat_csv",
     "write_manifest",
@@ -105,10 +104,11 @@ def write_kuramoto_csv(path: Path, result: KuramotoResult) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_spectrum_csv(path: Path, eigenvalues) -> None:
-    lines = ["re,im"]
-    for mu in eigenvalues:
-        lines.append(f"{_fmt(mu.real)},{_fmt(mu.imag)}")
+def write_columns_csv(path: Path, names: Sequence[str], *columns) -> None:
+    """One CSV column per sequence of ``columns``, headed by ``names``."""
+    lines = [",".join(names)]
+    for row in zip(*columns):
+        lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 

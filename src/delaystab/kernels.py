@@ -1,11 +1,12 @@
 """Delay distribution kernels and their Laplace transforms.
 
-Four closed-form families are supported: a point mass (discrete delay), a
-uniform density on an interval, a Gamma (Erlang) density, and its n=1
-special case, the exponential density.  Every kernel integrates to one, so
-its transform satisfies hhat(0) = 1 and |hhat(lam)| <= 1 whenever
-Re(lam) >= 0.  Transforms are evaluated in closed form and accept scalar or
-numpy-array arguments for ``lam``.
+Three closed-form families are supported: a point mass (discrete delay), a
+uniform density on an interval, and a Gamma (Erlang) density.  The
+exponential density is the Gamma density of shape 1; ``Exponential(T)``
+builds ``Gamma(1, T)``, and configs may name it ``"exponential"``.  Every
+kernel integrates to one, so its transform satisfies hhat(0) = 1 and
+|hhat(lam)| <= 1 whenever Re(lam) >= 0.  Transforms are evaluated in closed
+form and accept scalar or numpy-array arguments for ``lam``.
 """
 
 from __future__ import annotations
@@ -80,18 +81,12 @@ class Gamma:
             raise ValueError(f"Gamma mean must be positive, got {self.T}")
 
 
-@dataclass(frozen=True)
-class Exponential:
-    """Exponential density with mean ``T``; identical to Gamma(1, T)."""
-
-    T: float
-
-    def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"Exponential mean must be positive, got {self.T}")
+def Exponential(T: float) -> Gamma:
+    """Exponential density with mean ``T``: the Gamma density of shape 1."""
+    return Gamma(1, T)
 
 
-DelayKernel = Union[Dirac, Uniform, Gamma, Exponential]
+DelayKernel = Union[Dirac, Uniform, Gamma]
 
 
 def _uniform_g(x):
@@ -126,7 +121,7 @@ def _gamma_base(n: int, T: float, lam):
 def laplace(kernel: DelayKernel, lam):
     """Evaluate the kernel's Laplace transform at ``lam`` (scalar or array).
 
-    All four families have entire or rational transforms, so evaluation is
+    All three families have entire or rational transforms, so evaluation is
     permitted anywhere except the Gamma-family pole at lam = -n/T.
     """
     lam = np.asarray(lam, dtype=complex)
@@ -136,8 +131,6 @@ def laplace(kernel: DelayKernel, lam):
         out = np.exp(-kernel.a * lam) * _uniform_g(kernel.A * lam)
     elif isinstance(kernel, Gamma):
         out = _gamma_base(kernel.n, kernel.T, lam) ** (-kernel.n)
-    elif isinstance(kernel, Exponential):
-        out = _gamma_base(1, kernel.T, lam) ** (-1)
     else:
         raise TypeError(f"not a delay kernel: {kernel!r}")
     return out[()] if out.ndim == 0 else out
@@ -156,9 +149,6 @@ def laplace_derivative(kernel: DelayKernel, lam):
     elif isinstance(kernel, Gamma):
         base = _gamma_base(kernel.n, kernel.T, lam)
         out = -kernel.T * base ** (-kernel.n - 1)
-    elif isinstance(kernel, Exponential):
-        base = _gamma_base(1, kernel.T, lam)
-        out = -kernel.T * base ** (-2)
     else:
         raise TypeError(f"not a delay kernel: {kernel!r}")
     return out[()] if out.ndim == 0 else out
@@ -171,8 +161,6 @@ def kernel_to_dict(kernel: DelayKernel) -> dict:
         return {"kind": "uniform", "a": kernel.a, "A": kernel.A}
     if isinstance(kernel, Gamma):
         return {"kind": "gamma", "n": int(kernel.n), "T": kernel.T}
-    if isinstance(kernel, Exponential):
-        return {"kind": "exponential", "T": kernel.T}
     raise TypeError(f"not a delay kernel: {kernel!r}")
 
 
@@ -185,5 +173,5 @@ def kernel_from_dict(d: dict) -> DelayKernel:
     if kind == "gamma":
         return Gamma(n=int(d["n"]), T=float(d["T"]))
     if kind == "exponential":
-        return Exponential(T=float(d["T"]))
+        return Gamma(n=1, T=float(d["T"]))
     raise ValueError(f"unknown kernel kind: {kind!r}")

@@ -211,13 +211,10 @@ def carfollowing_Tc(n: int, N: int, alpha: float) -> float:
     return n * t * (1.0 + t * t) ** (n / 2.0) / (2.0 * alpha * math.sin(math.pi / N))
 
 
-def carfollowing_Tc_numeric(
-    n: int,
-    N: int,
-    alpha: float,
-    *,
-    rel_tol: float = 1e-8,
-) -> float:
+_TC_REL_TOL = 1e-8  # relative width of the final delay bracket
+
+
+def carfollowing_Tc_numeric(n: int, N: int, alpha: float) -> float:
     """Search counterpart of carfollowing_Tc: bisect on the membership oracle.
 
     Finds the delay at which the slowest rotating mode of the ring leaves
@@ -227,7 +224,7 @@ def carfollowing_Tc_numeric(
     mu1 = complex(alpha * (np.exp(2j * np.pi / N) - 1.0))
 
     def is_stable(T: float) -> Optional[bool]:
-        # a tight on-axis guard keeps the marginal band well below rel_tol
+        # a tight on-axis guard keeps the marginal band well below _TC_REL_TOL
         F = presets.coupling_mode(Gamma(n, T))
         try:
             nu = nu_contour(F, mu1, on_scc_tol=1e-11)
@@ -246,7 +243,7 @@ def carfollowing_Tc_numeric(
         hi *= 2.0
     else:
         raise RuntimeError("no instability found while expanding the delay bracket")
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > _TC_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         s = is_stable(mid)
         if s is None:
@@ -320,12 +317,12 @@ def mas_Tc2(a, k1, k2):
     return 1 / denom
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int = 80) -> float:
+def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
     g = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - g * (hi - lo)
     x2 = lo + g * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(80):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - g * (hi - lo)

@@ -10,7 +10,7 @@ the controlled oscillator population.
 from __future__ import annotations
 
 from .charfun import CharFun, build_charfun
-from .kernels import DelayKernel, Dirac, Exponential, Gamma
+from .kernels import DelayKernel, Dirac, Gamma
 
 __all__ = [
     "scalar_discrete",
@@ -52,7 +52,7 @@ def pd_agent_mode(a: float, b: float, k1: float, k2: float, T: float) -> CharFun
     """
     Q = [[0.0, 1.0], [complex(b), complex(a)]]
     B = [[0.0, 0.0], [[0, k1], [0, k2]]]
-    kernel: DelayKernel = Exponential(T) if T > 0 else Dirac(0.0)
+    kernel: DelayKernel = Gamma(1, T) if T > 0 else Dirac(0.0)
     return build_charfun(Q, B, kernel)
 
 

@@ -52,14 +52,11 @@ def _wrap(d: np.ndarray) -> np.ndarray:
     return (d + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def nu_contour(
-    F: CharFun,
-    L: complex,
-    *,
-    on_scc_tol: float = 1e-6,
-    round_guard: float = 0.05,
-    max_points: int = 200_000,
-) -> int:
+_ROUND_GUARD = 0.05  # largest distance of the winding from an integer
+_MAX_CONTOUR_POINTS = 200_000
+
+
+def nu_contour(F: CharFun, L: complex, *, on_scc_tol: float = 1e-6) -> int:
     """Count roots of F(., L) with nonnegative real part.
 
     Raises OnSccError when a root sits on (or numerically too close to) the
@@ -100,7 +97,7 @@ def nu_contour(
         if not np.any(bad):
             total = d.sum() / (2.0 * np.pi)
             nu = int(np.round(total))
-            if abs(total - nu) > round_guard or nu < 0:
+            if abs(total - nu) > _ROUND_GUARD or nu < 0:
                 if threshold > np.pi / 64.0:
                     threshold /= 2.0
                     bad = np.abs(d) > threshold
@@ -129,8 +126,8 @@ def nu_contour(
         kind = np.insert(kind, idx + 1, mid_kind)
         par = np.insert(par, idx + 1, mid_par)
         fv = np.insert(fv, idx + 1, mid_f)
-        if len(par) > max_points:
-            raise WindingUnresolvedError(f"contour refinement exceeded {max_points} points at L={L:.6g}")
+        if len(par) > _MAX_CONTOUR_POINTS:
+            raise WindingUnresolvedError(f"contour refinement exceeded {_MAX_CONTOUR_POINTS} points at L={L:.6g}")
     raise WindingUnresolvedError(f"phase tracking did not converge at L={L:.6g}")
 
 
@@ -151,7 +148,7 @@ class Membership:
     nu: Optional[int] = None
 
 
-def membership(F: CharFun, L: complex, branches: Optional[Sequence[SccBranch]] = None) -> Membership:
+def membership(F: CharFun, L: complex) -> Membership:
     """Classify a single gain without building a full map."""
     try:
         nu = nu_contour(F, L)
@@ -176,7 +173,6 @@ class NuMap:
     branches: List[SccBranch] = field(default_factory=list, repr=False)
     warnings: List[str] = field(default_factory=list)
     component_ids: np.ndarray = field(default=None, repr=False)
-    curve_rank: np.ndarray = field(default=None, repr=False)
 
     def cell_centers(self):
         re_lo, re_hi, im_lo, im_hi = self.window
@@ -355,7 +351,6 @@ def nu_map(
         branches=list(branches),
         warnings=notes,
         component_ids=comp,
-        curve_rank=rank,
     )
 
 
@@ -432,13 +427,14 @@ def _near_cells(L: np.ndarray, inside: np.ndarray, xs, ys, grid, reach: float) -
     return near
 
 
+_MAX_DOUBLINGS = 6  # beta-range doublings before coverage is given up
+
+
 def trace_covering(
     F: CharFun,
     window: Tuple[float, float, float, float],
     *,
     step: float = 0.05,
-    beta0: Optional[float] = None,
-    max_doublings: int = 6,
     refine_frac: float = 0.02,
 ) -> List[SccBranch]:
     """Trace branches over a beta range wide enough to cover the window.
@@ -449,8 +445,8 @@ def trace_covering(
     re_lo, re_hi, im_lo, im_hi = window
     outer = max(abs(complex(re, im)) for re in (re_lo, re_hi) for im in (im_lo, im_hi))
     cover = 1.5 * outer + 1.0
-    b = beta0 if beta0 is not None else max(4.0, 2.0 * cover)
-    for attempt in range(max_doublings):
+    b = max(4.0, 2.0 * cover)
+    for _ in range(_MAX_DOUBLINGS):
         branches = trace(F, -b, b, step, window=window, refine_frac=refine_frac)
         tail = 0.1 * b
         ok = True

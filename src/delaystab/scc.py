@@ -27,12 +27,14 @@ __all__ = [
     "IdenticallySingularError",
     "TraceResidualError",
     "trace",
-    "polar_profile",
     "crossing_at",
     "self_intersection",
 ]
 
 _POLAR_RADIUS_FLOOR = 1e-12
+_MAX_DEPTH = 12  # bisection levels below the base step
+_MAX_NODES = 200_000
+_RESIDUAL_TOL = 1e-9  # per node, relative to the size of F's terms (at least 1)
 
 
 class IdenticallySingularError(ValueError):
@@ -116,13 +118,13 @@ class CrossingReport:
     flag: Optional[str] = None
 
 
-def _newton_polish(coeffs: np.ndarray, L0: complex, *, steps: int = 12, tol: float = 1e-13) -> complex:
-    """Newton on the gain polynomial with ascending ``coeffs``, from ``L0``."""
+def _newton_polish(coeffs: np.ndarray, L0: complex) -> complex:
+    """At most 12 Newton steps on the gain polynomial with ascending ``coeffs``, from ``L0``."""
     dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
     L = L0
-    for _ in range(steps):
+    for _ in range(12):
         g = _horner(coeffs, L)
-        if abs(g) <= tol * max(1.0, abs(L)):
+        if abs(g) <= 1e-13 * max(1.0, abs(L)):
             break
         gp = _horner(dcoeffs, L)
         if gp == 0.0:
@@ -171,15 +173,12 @@ def trace(
     *,
     window: Optional[Tuple[float, float, float, float]] = None,
     refine_frac: float = 0.02,
-    max_depth: int = 12,
-    residual_tol: float = 1e-9,
-    max_nodes: int = 200_000,
 ) -> List["SccBranch"]:
     """Trace all crossing-curve branches for beta in [beta_lo, beta_hi].
 
     The base grid has spacing ``step``; intervals where the curve moves more
     than ``refine_frac`` of the window diagonal (or turns by more than a
-    right angle) are bisected down to ``step / 2**max_depth``.  Refinement is
+    right angle) are bisected down to ``step / 2**12``.  Refinement is
     suppressed where every root is far outside the window, so off-window
     excursions stay cheap.  Frequencies where the gain polynomial degenerates
     to a nonzero constant contribute no nodes and split branches there.
@@ -207,7 +206,7 @@ def trace(
         else:
             diag, far_cutoff = 1.0, 10.0
     refine_tol = refine_frac * diag
-    min_step = step / 2.0**max_depth
+    min_step = step / 2.0**_MAX_DEPTH
 
     solved: List[Tuple[float, np.ndarray]] = [(base[0], _solve_nodes(F, base[0]))]
     stack = [(base[i], base[i + 1]) for i in range(n_base - 2, -1, -1)]
@@ -243,8 +242,8 @@ def trace(
             stack.append((b0, mid))
         else:
             solved.append((b1, r1))
-        if len(solved) > max_nodes:
-            raise RuntimeError(f"trace exceeded {max_nodes} nodes; increase step or reduce range")
+        if len(solved) > _MAX_NODES:
+            raise RuntimeError(f"trace exceeded {_MAX_NODES} nodes; increase step or reduce range")
 
     solved.sort(key=lambda t: t[0])
 
@@ -299,19 +298,21 @@ def trace(
     for br in done:
         if len(br["beta"]) < 2:
             continue
-        branches.append(_finalize_branch(F, br, residual_tol))
+        branches.append(_finalize_branch(F, br))
     branches.sort(key=lambda br: (br.beta[0], br.root_index))
     return branches
 
 
-def _finalize_branch(F: CharFun, raw: dict, residual_tol: float) -> SccBranch:
+def _finalize_branch(F: CharFun, raw: dict) -> SccBranch:
     beta = np.asarray(raw["beta"], dtype=float)
     L = np.asarray(raw["L"], dtype=complex)
     lam = 1j * beta
     residual = np.abs(F.eval(lam, L))
-    worst = float(np.max(residual))
-    if worst > residual_tol:
-        raise TraceResidualError(f"branch residual {worst:.3e} exceeds {residual_tol:.1e}")
+    if np.max(residual) > _RESIDUAL_TOL:
+        # large |L| makes large terms: judge the residual against their size
+        worst = float(np.max(residual / np.maximum(1.0, F.term_size(lam, L))))
+        if worst > _RESIDUAL_TOL:
+            raise TraceResidualError(f"branch residual {worst:.3e} of the term size exceeds {_RESIDUAL_TOL:.1e}")
     dl = F.d_lambda(lam, L)
     dL = F.d_L(lam, L)
     tangent_ok = dL != 0.0
@@ -334,25 +335,6 @@ def _finalize_branch(F: CharFun, raw: dict, residual_tol: float) -> SccBranch:
         root_index=raw["slot"],
         charfun=F,
     )
-
-
-def polar_profile(branch: SccBranch):
-    """(r, theta, theta') sampled along the branch.
-
-    For traced branches theta' is the analytic value Im(L'/L); synthetic
-    branches (no attached characteristic function) get centered differences.
-    Nodes with |L| below the polar floor are flagged invalid.
-    """
-    r = np.abs(branch.L)
-    theta = np.unwrap(np.angle(branch.L))
-    if branch.charfun is not None and np.all(branch.tangent_ok):
-        tp = branch.theta_prime
-    else:
-        dL = np.gradient(branch.L, branch.beta)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            tp = np.imag(dL / np.where(r > _POLAR_RADIUS_FLOOR, branch.L, np.nan))
-    ok = r > _POLAR_RADIUS_FLOOR
-    return r, theta, np.where(ok, tp, np.nan)
 
 
 def crossing_at(F: CharFun, branch: SccBranch, beta_star: float) -> CrossingReport:

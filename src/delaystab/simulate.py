@@ -33,7 +33,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .kernels import Dirac, Exponential, Gamma
+from .kernels import Dirac, Gamma
 from .networks import Chain, NetworkSpec, Ring
 
 __all__ = [
@@ -79,7 +79,6 @@ class SimConfig:
     history: Optional[HistorySpec] = None
     rate_window_fraction: float = 0.5
     rate_tol: float = 0.01
-    blowup_threshold: float = 1e12
 
     def __post_init__(self):
         if self.dt <= 0 or self.horizon <= 0:
@@ -117,6 +116,9 @@ class KuramotoResult:
     phases: np.ndarray  # (n_snapshots, N) raw phases
     truncated_fraction: float
     resampled_delays: int
+
+
+_BLOWUP = 1e12  # a run with a state component above this (or non-finite) freezes
 
 
 def _history_values(history: Optional[HistorySpec], default: HistorySpec, shape, dtype):
@@ -256,7 +258,7 @@ def _scalar_discrete_rk4(a, d, Ls, tau, cfg: SimConfig, observe):
     def rhs(t, z, zd):
         return ad * z + Ls * zd
 
-    obs, blow = _rk4(rhs, z0, dt, _n_steps(cfg.horizon, dt), cfg.blowup_threshold, observe, delay=m)
+    obs, blow = _rk4(rhs, z0, dt, _n_steps(cfg.horizon, dt), _BLOWUP, observe, delay=m)
     return dt, obs, blow
 
 
@@ -274,8 +276,6 @@ def scalar_discrete_rate_grid(a: float, d: float, Ls, tau: float, cfg: SimConfig
 
 def _scalar_gamma_rk4(a, Ls, kernel: Gamma, cfg: SimConfig, observe):
     """zdot = a z + L * (Gamma-delayed z) per gain; state columns z, y1..yn of the chain."""
-    if isinstance(kernel, Exponential):
-        kernel = Gamma(1, kernel.T)
     n = kernel.n
     rate = n / kernel.T
     Ls = np.asarray(Ls, dtype=complex).ravel()
@@ -289,7 +289,7 @@ def _scalar_gamma_rk4(a, Ls, kernel: Gamma, cfg: SimConfig, observe):
 
     # column-major, so each chain stage of the batch is contiguous for the rhs
     y0 = np.asfortranarray(np.repeat(z0[:, None], n + 1, axis=1))
-    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), cfg.blowup_threshold, observe)
+    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), _BLOWUP, observe)
 
 
 def simulate_scalar_gamma(a: float, L: complex, kernel: Gamma, cfg: SimConfig) -> Trajectory:
@@ -336,7 +336,7 @@ def _carfollowing_rk4(n: int, N: int, alpha, rate, chain: bool, cfg: SimConfig, 
             ds[:, 1:] = rate[:, :, None] * (st[:, :-1] - st[:, 1:])
         return dy
 
-    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), cfg.blowup_threshold, observe)
+    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), _BLOWUP, observe)
 
 
 def _spread(x: np.ndarray) -> np.ndarray:
@@ -354,8 +354,6 @@ def simulate_carfollowing(
     """
     if not isinstance(net, (Ring, Chain)):
         raise ValueError("car-following supports ring and chain networks")
-    if isinstance(kernel, Exponential):
-        kernel = Gamma(1, kernel.T)
     xs, blow = _carfollowing_rk4(kernel.n, net.N, np.array([[net.alpha]]), np.array([[kernel.n / kernel.T]]),
                                  isinstance(net, Chain), cfg, lambda y: y[0, : net.N])
     traj = _trajectory(cfg.dt, xs, blow[0])
@@ -367,23 +365,15 @@ def simulate_carfollowing(
     return traj, est
 
 
-def carfollowing_rate_grid(
-    n: int,
-    N: int,
-    alphas: np.ndarray,
-    Ts: np.ndarray,
-    cfg: SimConfig,
-    *,
-    chain: bool = False,
-) -> np.ndarray:
-    """Consensus rates over an (alpha, T) grid, integrated as one batch.
+def carfollowing_rate_grid(n: int, N: int, alphas: np.ndarray, Ts: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """Consensus rates of the ring over an (alpha, T) grid, integrated as one batch.
 
     Returns an array of shape (len(alphas), len(Ts)); +inf marks blow-up.
     """
     alphas = np.asarray(alphas, dtype=float)
     Ts = np.asarray(Ts, dtype=float)
     A, Tv = np.meshgrid(alphas, Ts, indexing="ij")
-    gaps, blow = _carfollowing_rk4(n, N, A.reshape(-1, 1), n / Tv.reshape(-1, 1), chain, cfg,
+    gaps, blow = _carfollowing_rk4(n, N, A.reshape(-1, 1), n / Tv.reshape(-1, 1), False, cfg,
                                    lambda y: _spread(y[:, :N]))
     return _grid_rates(cfg.dt, gaps, blow, cfg).reshape(len(alphas), len(Ts))
 
@@ -414,7 +404,7 @@ def _mas_rk4(a, b, k1, k2, T, Js: np.ndarray, x0, v0, cfg: SimConfig, observe):
             dy[:, 3 * N :] = (v - pv) / T
         return dy
 
-    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), cfg.blowup_threshold, observe)
+    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), _BLOWUP, observe)
 
 
 def _mas_tail_start(n_steps: int) -> int:
@@ -717,8 +707,8 @@ def simulate_oa(
         def rhs(t, r, rd, Lt=L):
             return dr(r, rd, Lt)
 
-    elif isinstance(kernel, (Exponential, Gamma)):
-        if isinstance(kernel, Gamma) and kernel.n != 1:
+    elif isinstance(kernel, Gamma):
+        if kernel.n != 1:
             raise ValueError("order-parameter dynamics supports the exponential kernel (n = 1)")
         T = kernel.T
         y0 = np.array([[r0, r0]], dtype=complex)

@@ -1,10 +1,12 @@
 """Acceptance suite: one test per criterion, printing a PASS line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines.  Three parameter subcases are marked strict-xfail: their stated
-thresholds are unreachable for the model itself (the dominant rates or
-fluctuation floors sit on the wrong side of the fixed cutoffs); each xfail
-reason carries the measured numbers.
+lines.  Four parameter subcases are marked strict-xfail: the two
+criterion-4 combos, criterion 6 at R = 1 and criterion 8 case b after the
+control switches on.  Their stated thresholds are unreachable for the model
+itself: a dominant rate or fluctuation floor sits on the wrong side of a
+fixed cutoff, or, at R = 1, alpha_c = 0 makes the two probes coincide.
+Each xfail reason carries the measured numbers.
 """
 
 import math

@@ -54,6 +54,13 @@ def test_growth_feedback_formula():
         assert F.eval(lam, L) == pytest.approx(lam - 1 - L * np.exp(-lam / 2), rel=1e-14)
 
 
+def test_term_size_growth_feedback():
+    F = presets.growth_with_feedback()
+    lam, L = 0.3 - 2.0j, 4.0 + 1.0j
+    expect = abs(lam) + 1.0 + abs(L) * abs(np.exp(-lam / 2))
+    assert F.term_size(lam, L) == pytest.approx(expect, rel=1e-14)
+
+
 def test_drift_difference_formula():
     F = presets.drift_difference_coupling()
     rng = np.random.default_rng(6)

@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 
 import mpmath
 import numpy as np
@@ -177,6 +176,18 @@ def test_critical_carfollowing_high_precision(tmp_path):
     assert got == pytest.approx(float(oracle), rel=1e-12)
 
 
+@pytest.mark.parametrize("config", [
+    {"which": "carfollowing", "n": 0, "N": 5, "alpha": 1.0},
+    {"which": "chain", "n": 1, "alpha": -1.0},
+    {"which": "mas", "a": 1, "b": 0, "k1": 1, "k2": 1.1},
+    {"which": "alpha_c", "a": 1, "b": 1, "k1": 1, "k2": 1.1, "T": 0.1, "R": 2.0, "N": 0},
+], ids=lambda c: c["which"])
+def test_critical_bad_value_exit_2_writes_nothing(tmp_path, config):
+    code, out = run(tmp_path, "critical", config)
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_writes_rate_and_determinism(tmp_path):
     cfg = {
         "model": "scalar-discrete",
@@ -239,6 +250,20 @@ def test_reproduce_fig12_small(tmp_path):
     hi_alpha = by_alpha[alphas[-1]]
     assert min(hi_alpha)[1] < 0  # smallest T converges
     assert max(hi_alpha)[1] > 0  # largest T diverges
+
+
+@pytest.mark.parametrize("config, name", [
+    ({"figure": "fig12-heat", "grid": [3, 3], "horizon": 20.0, "N": 5}, "analytic_Tc.csv"),
+    ({"figure": "fig15-heat", "grid": [3, 3], "seeds": 1, "N": 6, "horizon": 20.0}, "analytic_alpha_c.csv"),
+], ids=["fig12", "fig15"])
+def test_reproduce_analytic_csv_plain_floats(tmp_path, config, name):
+    code, out = run(tmp_path, "reproduce", config)
+    assert code == 0
+    lines = (out / name).read_text().splitlines()
+    assert len(lines) == 4
+    for line in lines[1:]:
+        for cell in line.split(","):
+            float(cell)
 
 
 def test_reproduce_fig16_small(tmp_path):

@@ -20,7 +20,7 @@ ALL_KERNELS = [
     Uniform(0.3, 2.5),
     Gamma(1, 0.7),
     Gamma(4, 1.3),
-    Exponential(0.9),
+    pytest.param(Exponential(0.9), id="Exponential(T=0.9)"),
 ]
 
 
@@ -49,10 +49,14 @@ def test_derivative_matches_finite_differences(k):
 
 
 def test_exponential_is_gamma_one_bitwise():
-    lam = np.array([0.0, 1.0, 0.3 + 2.1j, -0.2 + 0.7j, 5.0 - 3.0j])
     T = 1.7
-    assert np.array_equal(laplace(Exponential(T), lam), laplace(Gamma(1, T), lam))
-    assert np.array_equal(laplace_derivative(Exponential(T), lam), laplace_derivative(Gamma(1, T), lam))
+    assert Exponential(T) == Gamma(1, T)
+    assert kernel_from_dict({"kind": "exponential", "T": T}) == Gamma(1, T)
+    # shape 1 takes the float operations of the closed form 1/(1 + lam T)
+    lam = np.array([0.0, 1.0, 0.3 + 2.1j, -0.2 + 0.7j, 5.0 - 3.0j])
+    base = 1.0 + lam * T
+    assert np.array_equal(laplace(Exponential(T), lam), base ** (-1))
+    assert np.array_equal(laplace_derivative(Exponential(T), lam), -T * base ** (-2))
 
 
 def test_closed_form_values():

@@ -3,14 +3,13 @@ import pytest
 from scipy.optimize import brentq
 
 from delaystab import presets
-from delaystab.charfun import CharFun
+from delaystab.charfun import CharFun, build_charfun
 from delaystab.kernels import Dirac
 from delaystab.regions import nu_contour
 from delaystab.scc import (
     IdenticallySingularError,
     SccBranch,
     crossing_at,
-    polar_profile,
     self_intersection,
     trace,
 )
@@ -62,6 +61,24 @@ def test_residual_invariant(growth_branch, leaf_branch):
     for F, br in (growth_branch, leaf_branch):
         res = np.abs([F.eval(1j * b, L) for b, L in zip(br.beta, br.L)])
         assert np.max(res) < 1e-9
+
+
+def test_residual_bound_scales_with_large_gains():
+    # the q = 3 system of test_charfun: |L| grows past 20 over beta in [-20, 20],
+    # so Newton-converged nodes leave absolute residuals above 1e-9
+    F = build_charfun(
+        [[[0.2j, -1.0], 1.0, 0.0], [0.0, [0.5, 0.0, 0.3 - 0.1j], 1.0], [-0.4, 0.0, [-1.0, 0.0, 0.0, 0.2]]],
+        [[0.0, 0.0, 0.0], [[0.0, 0.3j], 0.0, 0.0], [[0.1, 0.7], [0.0, 0.0, 0.5], [0.0, -0.6 + 0.2j]]],
+        Dirac(0.4),
+    )
+    brs = trace(F, -20.0, 20.0, 0.05, window=(-3, 3, -3, 3))
+    assert brs
+    for br in brs:
+        lam = 1j * br.beta
+        res = np.abs(F.eval(lam, br.L))
+        assert np.max(res / np.maximum(1.0, F.term_size(lam, br.L))) < 1e-13
+    worst = max(np.max(np.abs(F.eval(1j * br.beta, br.L))) for br in brs)
+    assert worst > 1e-9  # the absolute bound alone would reject this trace
 
 
 def test_tangent_two_routes_agree(growth_branch):
@@ -119,7 +136,7 @@ def test_theta_unwrapped(leaf_branch):
 
 def test_polar_profile_scalar_discrete(leaf_branch):
     F, br = leaf_branch
-    r, theta, tp = polar_profile(br)
+    r, tp = br.r, br.theta_prime
     a, tau, d = 1.0, 0.5, 0.0
     expect_tp = tau - a / (a**2 + (br.beta - d) ** 2)
     ok = np.isfinite(tp)
@@ -136,17 +153,9 @@ def test_polar_profile_gamma_at_zero():
     F = presets.scalar_gamma(a, n, T)
     brs = trace(F, -8.0, 8.0, 0.05, window=(-6, 2, -4, 4))
     br = brs[0]
-    _, _, tp = polar_profile(br)
+    tp = br.theta_prime
     i0 = np.argmin(np.abs(br.beta))
     assert tp[i0] == pytest.approx(T - 1 / a, abs=1e-10)
-
-
-def test_polar_profile_circle():
-    br = synthetic_circle()
-    r, theta, tp = polar_profile(br)
-    assert np.allclose(r, 1.0)
-    ok = np.isfinite(tp)
-    assert np.allclose(tp[ok], 1.0, atol=1e-3)  # centered differences on the synthetic branch
 
 
 def test_conjugate_symmetry_real_coefficients(leaf_branch):
