@@ -268,8 +268,10 @@ def chain_Tc(n: int, alpha: float) -> float:
 def mas_scc(a, b, k1, k2, T, beta):
     """Crossing curve of the PD-coupled second-order agent mode.
 
-    L(beta) = (-beta^2 - b - i a beta)(1 + i beta T) / (k1 + i k2 beta).
+    L(beta) = (-beta^2 - b - i a beta)(1 + i beta T) / (k1 + i k2 beta), for T >= 0.
     """
+    if T < 0:
+        raise ValueError(f"PD coupling delay must be nonnegative, got T={T}")
     if k1 == 0:
         raise ZeroDivisionError("k1 must be nonzero")
     beta = np.asarray(beta, dtype=float)

@@ -10,8 +10,18 @@ logarithmic derivative; it stays robust near contour-adjacent roots.
 NU is constant between crossing curves, so a window map needs one contour
 evaluation per connected component: cells near the curves are masked out,
 the rest are flood-filled, and each component is labeled at its cell
-farthest from any curve.  A full-oracle mode labels every cell from its own
-contour as a cross-check.
+farthest from any curve.  A full-oracle mode labels every cell as a
+cross-check.  Its cells share one contour per window, with the radius bound
+of the disk that holds the window: F is linear in the gain polynomials
+P_kj(L), so F on the shared points is one matrix product per block of
+cells.  A cell whose column fails any of ``nu_contour``'s tests there (axis
+clearance, phase steps, an integer winding) falls back to its own
+``nu_contour``, which refines adaptively and raises as usual.
+
+The grid passes are whole-array numpy: the curve segments are sub-sampled
+in one flat layout, components come from root hooking with pointer jumping
+and are numbered by their first row-major cell, and the curve distance
+used to pick a component's cell is a two-sweep L1 distance transform.
 """
 
 from __future__ import annotations
@@ -22,8 +32,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charfun import CharFun, radius_bound
+from .charfun import CharFun, _horner, radius_bound
 from .eigen import poly_roots
+from .kernels import laplace
 from .scc import SccBranch, trace
 
 __all__ = [
@@ -54,9 +65,10 @@ def _wrap(d: np.ndarray) -> np.ndarray:
 
 _ROUND_GUARD = 0.05  # largest distance of the winding from an integer
 _MAX_CONTOUR_POINTS = 200_000
+_ON_SCC_TOL = 1e-6  # default axis clearance of F, relative to max(1, |beta|^q)
 
 
-def nu_contour(F: CharFun, L: complex, *, on_scc_tol: float = 1e-6) -> int:
+def nu_contour(F: CharFun, L: complex, *, on_scc_tol: float = _ON_SCC_TOL) -> int:
     """Count roots of F(., L) with nonnegative real part.
 
     Raises OnSccError when a root sits on (or numerically too close to) the
@@ -183,77 +195,150 @@ class NuMap:
 
 
 def _rasterize_sentinels(branches, window, nx, ny) -> np.ndarray:
+    """Cells whose center lies within half a cell diagonal of a traced curve.
+
+    Each curve segment near the window is sub-sampled at a quarter of the
+    smaller cell side; all segments of all branches share one flat layout,
+    whose points are those of ``np.linspace(0, 1, n_sub + 1)`` per segment.
+    """
     re_lo, re_hi, im_lo, im_hi = window
     dx, dy = (re_hi - re_lo) / nx, (im_hi - im_lo) / ny
     half_diag = 0.5 * np.hypot(dx, dy)
     step = 0.25 * min(dx, dy)
     sentinel = np.zeros((ny, nx), dtype=bool)
     pad = 2.0 * half_diag
-    for br in branches:
-        P = br.L
-        for seg in range(len(P) - 1):
-            p0, p1 = P[seg], P[seg + 1]
-            if max(p0.real, p1.real) < re_lo - pad or min(p0.real, p1.real) > re_hi + pad:
-                continue
-            if max(p0.imag, p1.imag) < im_lo - pad or min(p0.imag, p1.imag) > im_hi + pad:
-                continue
-            n_sub = max(int(np.ceil(abs(p1 - p0) / step)), 1)
-            ts = np.linspace(0.0, 1.0, n_sub + 1)
-            pts = p0 + (p1 - p0) * ts
-            cx = (pts.real - re_lo) / dx - 0.5
-            cy = (pts.imag - im_lo) / dy - 0.5
-            for ox in (-1, 0, 1):
-                for oy in (-1, 0, 1):
-                    ix = np.round(cx).astype(int) + ox
-                    iy = np.round(cy).astype(int) + oy
-                    ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-                    if not np.any(ok):
-                        continue
-                    cex = re_lo + (ix[ok] + 0.5) * dx
-                    cey = im_lo + (iy[ok] + 0.5) * dy
-                    close = np.hypot(cex - pts.real[ok], cey - pts.imag[ok]) <= half_diag
-                    sentinel[iy[ok][close], ix[ok][close]] = True
+    nodes = [np.asarray(br.L) for br in branches] + [np.zeros(1, dtype=complex)]
+    p0 = np.concatenate([L[:-1] for L in nodes])
+    p1 = np.concatenate([L[1:] for L in nodes])
+    far = (
+        (np.maximum(p0.real, p1.real) < re_lo - pad)
+        | (np.minimum(p0.real, p1.real) > re_hi + pad)
+        | (np.maximum(p0.imag, p1.imag) < im_lo - pad)
+        | (np.minimum(p0.imag, p1.imag) > im_hi + pad)
+    )
+    p0, p1 = p0[~far], p1[~far]
+    if not len(p0):
+        return sentinel
+    n_sub = np.maximum(np.ceil(np.abs(p1 - p0) / step).astype(np.intp), 1)
+    counts = n_sub + 1
+    seg = np.repeat(np.arange(len(p0)), counts)
+    i = np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)  # index within the segment
+    ts = i * (1.0 / n_sub)[seg]
+    ts[i == n_sub[seg]] = 1.0  # linspace pins its endpoint
+    pts = p0[seg] + (p1 - p0)[seg] * ts
+    cx = np.round((pts.real - re_lo) / dx - 0.5).astype(int)
+    cy = np.round((pts.imag - im_lo) / dy - 0.5).astype(int)
+    for ox in (-1, 0, 1):
+        for oy in (-1, 0, 1):
+            ix, iy = cx + ox, cy + oy
+            ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+            ix, iy = ix[ok], iy[ok]
+            cex = re_lo + (ix + 0.5) * dx
+            cey = im_lo + (iy + 0.5) * dy
+            close = np.hypot(cex - pts.real[ok], cey - pts.imag[ok]) <= half_diag
+            sentinel[iy[close], ix[close]] = True
     return sentinel
 
 
+def _sweep(d: np.ndarray, axis: int) -> np.ndarray:
+    """min over j of d[j] + |i - j| along one axis: a forward and a backward running minimum."""
+    i = np.arange(d.shape[axis]).reshape((-1, 1) if axis == 0 else (1, -1))
+    fwd = np.minimum.accumulate(d - i, axis=axis) + i
+    bwd = np.flip(np.minimum.accumulate(np.flip(d + i, axis), axis=axis), axis) - i
+    return np.minimum(fwd, bwd)
+
+
 def _bfs_rank(seed_mask: np.ndarray) -> np.ndarray:
-    """Multi-source BFS distance (4-neighbor) from the seed cells."""
+    """Multi-source BFS distance (4-neighbor) from the seed cells, -1 with no seed.
+
+    With no obstacles this is the L1 distance to the nearest seed, a
+    separable distance transform: one sweep pair along rows, one along columns.
+    """
     ny, nx = seed_mask.shape
-    rank = np.full((ny, nx), -1, dtype=int)
-    frontier = list(zip(*np.nonzero(seed_mask)))
-    for y, x in frontier:
-        rank[y, x] = 0
-    d = 0
-    while frontier:
-        nxt = []
-        for y, x in frontier:
-            for yy, xx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                if 0 <= yy < ny and 0 <= xx < nx and rank[yy, xx] < 0:
-                    rank[yy, xx] = d + 1
-                    nxt.append((yy, xx))
-        frontier = nxt
-        d += 1
+    far = nx + ny  # above every distance on the grid
+    rank = _sweep(_sweep(np.where(seed_mask, 0, far), 1), 0)
+    rank[rank >= far] = -1
     return rank
 
 
 def _components(open_mask: np.ndarray) -> np.ndarray:
+    """4-connected components of the open cells, numbered by their first row-major cell.
+
+    Every cell starts as the root of its own tree, labeled by its flat index.
+    Each round hooks, across every 4-neighbor edge of open cells whose ends
+    lie in different trees, the larger root to the smaller label, then
+    compresses every path by pointer jumping (label <- label[label]).  Roots
+    only ever hook to smaller labels, so each component ends as one tree
+    rooted at its first cell.
+    """
     ny, nx = open_mask.shape
-    comp = np.full((ny, nx), -1, dtype=int)
-    cid = 0
-    for y0 in range(ny):
-        for x0 in range(nx):
-            if not open_mask[y0, x0] or comp[y0, x0] >= 0:
-                continue
-            stack = [(y0, x0)]
-            comp[y0, x0] = cid
-            while stack:
-                y, x = stack.pop()
-                for yy, xx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                    if 0 <= yy < ny and 0 <= xx < nx and open_mask[yy, xx] and comp[yy, xx] < 0:
-                        comp[yy, xx] = cid
-                        stack.append((yy, xx))
-            cid += 1
-    return comp
+    n = ny * nx
+    idx = np.arange(n).reshape(ny, nx)
+    across = open_mask[:, :-1] & open_mask[:, 1:]
+    down = open_mask[:-1] & open_mask[1:]
+    a = np.concatenate([idx[:, :-1][across], idx[:-1][down]])
+    b = np.concatenate([idx[:, 1:][across], idx[1:][down]])
+    lab = np.arange(n)
+    while True:
+        la, lb = lab[a], lab[b]
+        split = la != lb
+        if not split.any():
+            break
+        a, b, la, lb = a[split], b[split], la[split], lb[split]
+        np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+    flat = open_mask.ravel()
+    comp = np.full(n, -1, dtype=int)
+    comp[flat] = np.unique(lab[flat], return_inverse=True)[1]
+    return comp.reshape(ny, nx)
+
+
+_ORACLE_AXIS, _ORACLE_ARC = 769, 193  # shared-contour points on the axis and on the arc (with its t = 0 end)
+_ORACLE_BLOCK = 1 << 17  # contour values per column block of gains
+
+
+def _full_oracle(F: CharFun, window, xs, ys, open_mask) -> np.ndarray:
+    """NU at the center of every open cell, in row-major order.
+
+    One contour serves the whole window: its radius comes from the disk
+    around the window center through the corners, valid for every cell.
+    F is linear in the values P_kj(L), so on the shared points F = lam^q -
+    Basis @ P(L), with Basis[p, t] = lam_p^k hhat(lam_p)^j over the terms of
+    ``F.support``.  A column is accepted when it passes ``nu_contour``'s own
+    tests at the first threshold: finite values, axis clearance, every
+    wrapped phase step at most pi/4 and a winding within ``_ROUND_GUARD`` of
+    a nonnegative integer.  Every other cell is counted by ``nu_contour``.
+    """
+    re_lo, re_hi, im_lo, im_hi = window
+    center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
+    R = radius_bound(F, center, 0.5 * np.hypot(re_hi - re_lo, im_hi - im_lo))
+    s = np.linspace(-R, R, _ORACLE_AXIS)
+    t = np.linspace(0.0, np.pi, _ORACLE_ARC)[1:]
+    lam = np.concatenate([-1j * s, R * np.exp(1j * (t - np.pi / 2.0))])
+    clear = _ON_SCC_TOL * np.maximum(1.0, np.abs(s) ** F.q)[:, None]
+    k, j = np.array(F.support, dtype=int).reshape(-1, 2).T
+    basis = lam[:, None] ** k * laplace(F.kernel, lam)[:, None] ** j
+    coef = F.C[k, j]  # P_kj(L) coefficients, in the order of the basis columns
+    lamq = (lam**F.q)[:, None]
+    iy, ix = np.nonzero(open_mask)
+    nu = np.empty(len(iy), dtype=int)
+    block = max(1, _ORACLE_BLOCK // len(lam))
+    for lo in range(0, len(iy), block):
+        cells = slice(lo, lo + block)
+        fv = lamq - basis @ _horner(coef, xs[ix[cells]] + 1j * ys[iy[cells]])
+        d = _wrap(np.diff(np.angle(fv), axis=0))
+        total = d.sum(axis=0) / (2.0 * np.pi)
+        n = np.round(total)
+        ok = np.isfinite(fv).all(axis=0) & (np.abs(fv[: len(s)]) >= clear).all(axis=0)
+        ok &= (np.abs(d) <= np.pi / 4.0).all(axis=0) & (np.abs(total - n) <= _ROUND_GUARD) & (n >= 0)
+        nu[cells] = np.where(ok, n, -1)
+    for c in np.nonzero(nu < 0)[0]:
+        nu[c] = nu_contour(F, complex(xs[ix[c]], ys[iy[c]]))
+    return nu
 
 
 def nu_map(
@@ -302,9 +387,6 @@ def nu_map(
     )
     labels = np.full((ny, nx), -1, dtype=int)
 
-    def count_at(iy, ix) -> int:
-        return nu_contour(F, complex(xs[ix], ys[iy]))
-
     n_comp = comp.max() + 1
     anchor: Optional[Tuple[complex, int, str]] = None
     best_rank = -1
@@ -315,7 +397,7 @@ def nu_map(
         for pick in order[:5]:
             iy, ix = cells[0][pick], cells[1][pick]
             try:
-                nu_val = count_at(iy, ix)
+                nu_val = nu_contour(F, complex(xs[ix], ys[iy]))
             except OnSccError:
                 continue
             break
@@ -336,10 +418,7 @@ def nu_map(
             best_rank = top
 
     if full_oracle:
-        for iy in range(ny):
-            for ix in range(nx):
-                if open_mask[iy, ix]:
-                    labels[iy, ix] = count_at(iy, ix)
+        labels[open_mask] = _full_oracle(F, window, xs, ys, open_mask)
 
     if anchor is None:
         raise OnSccError("no labelable cell in the window; refine the resolution")

@@ -163,7 +163,7 @@ def _rk4_step(f, t, y, dt, lag=_NO_LAG):
     return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _rk4(f, y0, dt, n_steps, blowup, observe, delay=None, switch=None):
+def _rk4(f, y0, dt, n_steps, blowup, observe, delay=None, switch=None, keep_from=0):
     """Fixed-step RK4 on a batch of runs, one per entry along axis 0 of ``y0``.
 
     Integrates y' = f(t, y), or, given ``delay`` in steps, y' = f(t, y, z)
@@ -176,10 +176,12 @@ def _rk4(f, y0, dt, n_steps, blowup, observe, delay=None, switch=None):
     at the switch node uses the old field's derivative there.
 
     A column whose state has any component non-finite or above ``blowup``
-    freezes at its last state.  Returns ``(obs, blow)``: ``obs[k]`` is
-    ``observe(y)`` at step k = 0..n_steps and ``blow[j]`` the step at which
-    column j blew up, -1 if it did not.  Once every column has blown up the
-    run stops and the remaining rows repeat the last observation.
+    freezes at its last state.  Returns ``(obs, blow)``: ``obs[0]`` is
+    ``observe(y)`` at step 0 and the next rows those at steps
+    max(keep_from, 1)..n_steps (every step by default), and ``blow[j]`` is
+    the step at which column j blew up, -1 if it did not.  Once every column
+    has blown up the run stops and the remaining rows repeat the last
+    observation.
     """
     k_on = -1
     if switch is not None:
@@ -191,7 +193,8 @@ def _rk4(f, y0, dt, n_steps, blowup, observe, delay=None, switch=None):
     alive = np.ones(B, dtype=bool)
     blow = np.full(B, -1)
     first = np.asarray(observe(y))
-    obs = np.empty((n_steps + 1,) + first.shape, dtype=first.dtype)
+    skip = max(keep_from - 1, 0)  # steps 1..skip are not stored
+    obs = np.empty((n_steps + 1 - skip,) + first.shape, dtype=first.dtype)
     obs[0] = first
     lag = _NO_LAG
     if delay is not None:
@@ -227,9 +230,11 @@ def _rk4(f, y0, dt, n_steps, blowup, observe, delay=None, switch=None):
         y = yn if alive.all() else np.where(alive.reshape(col), yn, y)
         if delay is not None:
             Y[(k + 1) % R] = y
-        obs[k + 1] = observe(y)
+        row = k + 1 - skip
+        if row >= 1:
+            obs[row] = observe(y)
         if not alive.any():
-            obs[k + 2 :] = obs[k + 1]
+            obs[max(row, 1) :] = observe(y)
             break
     return obs, blow
 
@@ -242,13 +247,26 @@ def _trajectory(dt: float, states: np.ndarray, blow: int) -> Trajectory:
     return Trajectory(times=times, states=states, blowup=float(blow * dt) if blow >= 0 else None)
 
 
+def _rate_start(n_steps: int, frac: float) -> int:
+    """First step of the rate window, the trailing ``frac`` of steps 0..n_steps."""
+    return int(math.floor((1.0 - frac) * n_steps))
+
+
+def _grid_start(dt: float, cfg: SimConfig) -> int:
+    """First step of a rate grid's fit window; the grid's runs store step 0 and the steps from here."""
+    return _rate_start(_n_steps(cfg.horizon, dt), cfg.rate_window_fraction)
+
+
 def _grid_rates(dt: float, norms: np.ndarray, blow: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    rates = _fit_rates(np.arange(len(norms)) * dt, norms, cfg.rate_window_fraction)[0]
+    """Rates of a batch whose observations are step 0 and then the rate window's steps."""
+    start = _grid_start(dt, cfg)
+    w = norms[min(start, 1) :]
+    rates = _fit_rates(np.arange(start, start + len(w)) * dt, w)[0]
     rates[blow >= 0] = np.inf
     return rates
 
 
-def _scalar_discrete_rk4(a, d, Ls, tau, cfg: SimConfig, observe):
+def _scalar_discrete_rk4(a, d, Ls, tau, cfg: SimConfig, observe, rate_window=False):
     """zdot = (a + i d) z + L z(t - tau), one complex scalar run per gain."""
     Ls = np.asarray(Ls, dtype=complex).ravel()
     dt, m = _delay_steps(tau, cfg.dt)
@@ -258,7 +276,8 @@ def _scalar_discrete_rk4(a, d, Ls, tau, cfg: SimConfig, observe):
     def rhs(t, z, zd):
         return ad * z + Ls * zd
 
-    obs, blow = _rk4(rhs, z0, dt, _n_steps(cfg.horizon, dt), _BLOWUP, observe, delay=m)
+    obs, blow = _rk4(rhs, z0, dt, _n_steps(cfg.horizon, dt), _BLOWUP, observe, delay=m,
+                     keep_from=_grid_start(dt, cfg) if rate_window else 0)
     return dt, obs, blow
 
 
@@ -270,11 +289,11 @@ def simulate_scalar_discrete(a: float, d: float, L: complex, tau: float, cfg: Si
 
 def scalar_discrete_rate_grid(a: float, d: float, Ls, tau: float, cfg: SimConfig) -> np.ndarray:
     """Exponential rates of the discrete-delay scalar system over a batch of gains."""
-    dt, norms, blow = _scalar_discrete_rk4(a, d, Ls, tau, cfg, np.abs)
+    dt, norms, blow = _scalar_discrete_rk4(a, d, Ls, tau, cfg, np.abs, rate_window=True)
     return _grid_rates(dt, norms, blow, cfg)
 
 
-def _scalar_gamma_rk4(a, Ls, kernel: Gamma, cfg: SimConfig, observe):
+def _scalar_gamma_rk4(a, Ls, kernel: Gamma, cfg: SimConfig, observe, rate_window=False):
     """zdot = a z + L * (Gamma-delayed z) per gain; state columns z, y1..yn of the chain."""
     n = kernel.n
     rate = n / kernel.T
@@ -289,7 +308,8 @@ def _scalar_gamma_rk4(a, Ls, kernel: Gamma, cfg: SimConfig, observe):
 
     # column-major, so each chain stage of the batch is contiguous for the rhs
     y0 = np.asfortranarray(np.repeat(z0[:, None], n + 1, axis=1))
-    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), _BLOWUP, observe)
+    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), _BLOWUP, observe,
+                keep_from=_grid_start(cfg.dt, cfg) if rate_window else 0)
 
 
 def simulate_scalar_gamma(a: float, L: complex, kernel: Gamma, cfg: SimConfig) -> Trajectory:
@@ -304,11 +324,11 @@ def simulate_scalar_gamma(a: float, L: complex, kernel: Gamma, cfg: SimConfig) -
 
 def scalar_gamma_rate_grid(a: float, Ls, kernel: Gamma, cfg: SimConfig) -> np.ndarray:
     """Exponential rates of the Gamma-delay scalar system over a batch of gains."""
-    norms, blow = _scalar_gamma_rk4(a, Ls, kernel, cfg, lambda y: np.abs(y[:, 0]))
+    norms, blow = _scalar_gamma_rk4(a, Ls, kernel, cfg, lambda y: np.abs(y[:, 0]), rate_window=True)
     return _grid_rates(cfg.dt, norms, blow, cfg)
 
 
-def _carfollowing_rk4(n: int, N: int, alpha, rate, chain: bool, cfg: SimConfig, observe):
+def _carfollowing_rk4(n: int, N: int, alpha, rate, chain: bool, cfg: SimConfig, observe, rate_window=False):
     """N vehicles on a ring, or on a chain whose leader is uncoupled; one run
     per row of the gain ``alpha`` and of ``rate`` = n/T, both (C, 1).
 
@@ -336,7 +356,8 @@ def _carfollowing_rk4(n: int, N: int, alpha, rate, chain: bool, cfg: SimConfig, 
             ds[:, 1:] = rate[:, :, None] * (st[:, :-1] - st[:, 1:])
         return dy
 
-    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), _BLOWUP, observe)
+    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), _BLOWUP, observe,
+                keep_from=_grid_start(cfg.dt, cfg) if rate_window else 0)
 
 
 def _spread(x: np.ndarray) -> np.ndarray:
@@ -374,7 +395,7 @@ def carfollowing_rate_grid(n: int, N: int, alphas: np.ndarray, Ts: np.ndarray, c
     Ts = np.asarray(Ts, dtype=float)
     A, Tv = np.meshgrid(alphas, Ts, indexing="ij")
     gaps, blow = _carfollowing_rk4(n, N, A.reshape(-1, 1), n / Tv.reshape(-1, 1), False, cfg,
-                                   lambda y: _spread(y[:, :N]))
+                                   lambda y: _spread(y[:, :N]), rate_window=True)
     return _grid_rates(cfg.dt, gaps, blow, cfg).reshape(len(alphas), len(Ts))
 
 
@@ -383,7 +404,7 @@ def _mas_initial(cfg: SimConfig, S: int, N: int) -> np.ndarray:
     return _history_values(cfg.history, UniformHistory(), (2, S, N), float)
 
 
-def _mas_rk4(a, b, k1, k2, T, Js: np.ndarray, x0, v0, cfg: SimConfig, observe):
+def _mas_rk4(a, b, k1, k2, T, Js: np.ndarray, x0, v0, cfg: SimConfig, observe, keep_from=0):
     """Second-order agents, one run per coupling matrix of ``Js`` (S, N, N)
     from the initial state ``x0, v0`` (S, N)."""
     N = Js.shape[1]
@@ -404,7 +425,7 @@ def _mas_rk4(a, b, k1, k2, T, Js: np.ndarray, x0, v0, cfg: SimConfig, observe):
             dy[:, 3 * N :] = (v - pv) / T
         return dy
 
-    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), _BLOWUP, observe)
+    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), _BLOWUP, observe, keep_from=keep_from)
 
 
 def _mas_tail_start(n_steps: int) -> int:
@@ -533,9 +554,10 @@ def mas_ensemble(
             tail = _mas_modal_tail(a, b, k1, k2, T, mu[ok], V[ok], x0[ix], v0[ix], n_steps, cfg.dt)
             stabilized[ix] = _mas_verdict(n0[ix], tail)
     if direct:
+        # observations: step 0, then the verdict window
         norms, blow = _mas_rk4(a, b, k1, k2, T, Js[direct], x0[direct], v0[direct], cfg,
-                               lambda y: np.linalg.norm(y[:, : 2 * N], axis=1))
-        stabilized[direct] = _mas_stabilized(norms, blow)
+                               lambda y: np.linalg.norm(y[:, : 2 * N], axis=1), _mas_tail_start(n_steps))
+        stabilized[direct] = (blow < 0) & _mas_verdict(norms[0], norms[1:])
     return stabilized
 
 
@@ -728,20 +750,18 @@ def simulate_oa(
 _FIT_BLOCK = 1 << 18  # window samples fitted at once: bounds the fit's scratch memory
 
 
-def _fit_rates(times: np.ndarray, norms: np.ndarray, frac: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Least-squares slopes of log(norms) over the trailing window and their R^2, batched.
+def _fit_rates(t: np.ndarray, norms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Least-squares slopes of log(norms) against the window times ``t`` and their R^2, batched.
 
-    ``norms`` has shape (nt,) or (nt, B); the results have one entry per
+    ``norms`` has shape (len(t),) or (len(t), B); the results have one entry per
     column.  Nonpositive or nonfinite samples are masked out per column;
     columns with fewer than half the window usable get a NaN slope.  The
     columns are fitted a block at a time, each summed along contiguous
     memory, so a column's fit does not depend on the rest of the batch.
     """
     w = np.atleast_2d(norms.T)
-    start = int(math.floor((1.0 - frac) * (w.shape[1] - 1)))
-    t = times[start:]
     step = max(1, _FIT_BLOCK // len(t))
-    fits = [_fit_block(t, w[j : j + step, start:]) for j in range(0, len(w), step)]
+    fits = [_fit_block(t, w[j : j + step]) for j in range(0, len(w), step)]
     return tuple(np.concatenate(f) for f in zip(*fits))
 
 
@@ -773,14 +793,13 @@ def estimate_rate(traj: Trajectory, cfg: SimConfig) -> RateEstimate:
         return RateEstimate(math.inf, 1.0, "diverging", note="blow_up")
     # for a single component this is exactly |z|, the norm the rate grids fit
     norms = np.sqrt(np.sum(np.abs(np.atleast_2d(traj.states.T).T) ** 2, axis=1))
-    nt = len(norms)
-    start = int(math.floor((1.0 - cfg.rate_window_fraction) * (nt - 1)))
+    start = _rate_start(len(norms) - 1, cfg.rate_window_fraction)
     window = norms[start:]
     if len(window) < 100:
         raise ValueError(f"need >= 100 samples in the fit window, got {len(window)}")
     if np.all(window == 0.0):
         return RateEstimate(-math.inf, 1.0, "converging", note="reached_zero")
-    slope, r2 = (float(v[0]) for v in _fit_rates(traj.times, norms, cfg.rate_window_fraction))
+    slope, r2 = (float(v[0]) for v in _fit_rates(traj.times[start:], window))
     if math.isnan(slope):
         return RateEstimate(0.0, 0.0, "inconclusive", note="degenerate_tail")
     if slope < -cfg.rate_tol:

@@ -117,6 +117,14 @@ def test_bad_geometry_exit_2_writes_nothing(tmp_path, command, change):
     assert list(out.iterdir()) == []
 
 
+def test_numap_pd_agent_negative_delay_exit_2_writes_nothing(tmp_path):
+    config = {"preset": "pd-agent", "params": {"a": 1, "b": 1, "k1": 1, "k2": 1.1, "T": -0.5},
+              "window": [-6, 1, -3, 3], "resolution": [11, 11]}
+    code, out = run(tmp_path, "numap", config)
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
 def test_missing_preset_and_system_exit_2(tmp_path):
     code, _ = run(tmp_path, "scc", {"beta": {"lo": 0, "hi": 1, "step": 0.1}})
     assert code == 2
@@ -181,7 +189,8 @@ def test_critical_carfollowing_high_precision(tmp_path):
     {"which": "chain", "n": 1, "alpha": -1.0},
     {"which": "mas", "a": 1, "b": 0, "k1": 1, "k2": 1.1},
     {"which": "alpha_c", "a": 1, "b": 1, "k1": 1, "k2": 1.1, "T": 0.1, "R": 2.0, "N": 0},
-], ids=lambda c: c["which"])
+    {"which": "alpha_c", "a": 1, "b": 1, "k1": 1, "k2": 1.1, "T": -0.5, "R": 2, "N": 50},
+], ids=["carfollowing", "chain", "mas", "alpha_c", "alpha_c-negative-delay"])
 def test_critical_bad_value_exit_2_writes_nothing(tmp_path, config):
     code, out = run(tmp_path, "critical", config)
     assert code == 2

@@ -162,6 +162,15 @@ def test_alpha_c_scaling_and_edges():
         nw.alpha_c(1.0, 1.0, 1.0, 1.1, 0.05, 0.5, 100)
 
 
+def test_negative_pd_delay_rejected():
+    for fn in (lambda T: presets.pd_agent_mode(1.0, 1.0, 1.0, 1.1, T),
+               lambda T: nw.mas_scc(1.0, 1.0, 1.0, 1.1, T, 0.5),
+               lambda T: nw.alpha_c(1.0, 1.0, 1.0, 1.1, T, 2.0, 50)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(-0.5)
+        fn(0.0)  # T = 0 stays the undelayed coupling
+
+
 def test_network_json_roundtrip():
     specs = [
         nw.Ring(10, 1.0),

@@ -1,10 +1,13 @@
+import functools
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from delaystab import presets
+from delaystab import presets, regions
 from delaystab.charfun import CharFun
 from delaystab.kernels import Dirac
 from delaystab.regions import (
@@ -237,3 +240,210 @@ def test_stability_region_memory_bounded():
         tracemalloc.stop()
     assert len(regs) == 1 and regs[0].boundary
     assert peak < 100e6
+
+
+# ------------------------------------------------ the per-cell loops as references
+
+def _reference_rasterize(branches, window, nx, ny):
+    """Sentinel cells, one curve segment and one 3x3 offset at a time."""
+    re_lo, re_hi, im_lo, im_hi = window
+    dx, dy = (re_hi - re_lo) / nx, (im_hi - im_lo) / ny
+    half_diag = 0.5 * np.hypot(dx, dy)
+    step = 0.25 * min(dx, dy)
+    sentinel = np.zeros((ny, nx), dtype=bool)
+    pad = 2.0 * half_diag
+    for br in branches:
+        P = br.L
+        for seg in range(len(P) - 1):
+            p0, p1 = P[seg], P[seg + 1]
+            if max(p0.real, p1.real) < re_lo - pad or min(p0.real, p1.real) > re_hi + pad:
+                continue
+            if max(p0.imag, p1.imag) < im_lo - pad or min(p0.imag, p1.imag) > im_hi + pad:
+                continue
+            n_sub = max(int(np.ceil(abs(p1 - p0) / step)), 1)
+            ts = np.linspace(0.0, 1.0, n_sub + 1)
+            pts = p0 + (p1 - p0) * ts
+            cx = (pts.real - re_lo) / dx - 0.5
+            cy = (pts.imag - im_lo) / dy - 0.5
+            for ox in (-1, 0, 1):
+                for oy in (-1, 0, 1):
+                    ix = np.round(cx).astype(int) + ox
+                    iy = np.round(cy).astype(int) + oy
+                    ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+                    if not np.any(ok):
+                        continue
+                    cex = re_lo + (ix[ok] + 0.5) * dx
+                    cey = im_lo + (iy[ok] + 0.5) * dy
+                    close = np.hypot(cex - pts.real[ok], cey - pts.imag[ok]) <= half_diag
+                    sentinel[iy[ok][close], ix[ok][close]] = True
+    return sentinel
+
+
+def _reference_bfs_rank(seed_mask):
+    """Multi-source BFS over the 4-neighbor grid, one frontier cell at a time."""
+    ny, nx = seed_mask.shape
+    rank = np.full((ny, nx), -1, dtype=int)
+    frontier = list(zip(*np.nonzero(seed_mask)))
+    for y, x in frontier:
+        rank[y, x] = 0
+    d = 0
+    while frontier:
+        nxt = []
+        for y, x in frontier:
+            for yy, xx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                if 0 <= yy < ny and 0 <= xx < nx and rank[yy, xx] < 0:
+                    rank[yy, xx] = d + 1
+                    nxt.append((yy, xx))
+        frontier = nxt
+        d += 1
+    return rank
+
+
+def _reference_components(open_mask):
+    """Depth-first flood fill from each unvisited open cell in row-major order."""
+    ny, nx = open_mask.shape
+    comp = np.full((ny, nx), -1, dtype=int)
+    cid = 0
+    for y0 in range(ny):
+        for x0 in range(nx):
+            if not open_mask[y0, x0] or comp[y0, x0] >= 0:
+                continue
+            stack = [(y0, x0)]
+            comp[y0, x0] = cid
+            while stack:
+                y, x = stack.pop()
+                for yy, xx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    if 0 <= yy < ny and 0 <= xx < nx and open_mask[yy, xx] and comp[yy, xx] < 0:
+                        comp[yy, xx] = cid
+                        stack.append((yy, xx))
+            cid += 1
+    return comp
+
+
+def _reference_full_oracle(F, m):
+    """Labels of a full-oracle map: one nu_contour per open cell."""
+    xs, ys = m.cell_centers()
+    labels = np.full(m.labels.shape, -1, dtype=int)
+    for iy, ix in zip(*np.nonzero(m.component_ids >= 0)):
+        labels[iy, ix] = nu_contour(F, complex(xs[ix], ys[iy]))
+    return labels
+
+
+def _assert_passes_match(branches, window, res):
+    nx, ny = res
+    sentinel = regions._rasterize_sentinels(branches, window, nx, ny)
+    assert np.array_equal(sentinel, _reference_rasterize(branches, window, nx, ny))
+    _assert_grid_passes_match(sentinel)
+
+
+def _assert_grid_passes_match(sentinel):
+    for got, want in ((regions._components(~sentinel), _reference_components(~sentinel)),
+                      (regions._bfs_rank(sentinel), _reference_bfs_rank(sentinel))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_branches(case):
+    F, window = ORACLE_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return trace_covering(F, window)
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_grid_passes_and_full_oracle_match_references(case):
+    F, window = ORACLE_CASES[case]
+    branches = _oracle_branches(case)
+    _assert_passes_match(branches, window, (41, 41))
+    mo = nu_map(F, window, (41, 41), branches, full_oracle=True)
+    assert np.array_equal(mo.labels, _reference_full_oracle(F, mo))
+
+
+@pytest.mark.parametrize("T", [0.05, 0.3, 0.6])
+def test_pd_agent_grid_passes_match_references(T):
+    F = presets.pd_agent_mode(1.0, 1.0, 1.0, 1.1, T)
+    window = (-6.0, 1.0, -3.0, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        branches = trace_covering(F, window, step=0.01, refine_frac=0.002)
+    _assert_passes_match(branches, window, (141, 601))
+    if T < 0.5:  # full-oracle maps on a coarser grid: the reference counts cell by cell
+        mo = nu_map(F, window, (71, 61), branches, full_oracle=True)
+        assert np.array_equal(mo.labels, _reference_full_oracle(F, mo))
+        assert np.array_equal(mo.labels, nu_map(F, window, (71, 61), branches).labels)
+
+
+def _spiral(ny, nx):
+    """One open corridor winding inward, one closed cell away from its previous lap."""
+    m = np.zeros((ny, nx), dtype=bool)
+    y = x = d = turns = 0
+    steps = ((0, 1), (1, 0), (0, -1), (-1, 0))
+    m[0, 0] = True
+    while turns < 2:
+        dy, dx = steps[d]
+        y1, x1, y2, x2 = y + dy, x + dx, y + 2 * dy, x + 2 * dx
+        ahead_free = not (0 <= y2 < ny and 0 <= x2 < nx) or not m[y2, x2]
+        if 0 <= y1 < ny and 0 <= x1 < nx and not m[y1, x1] and ahead_free:
+            y, x, turns = y1, x1, 0
+            m[y, x] = True
+        else:
+            d, turns = (d + 1) % 4, turns + 1
+    return m
+
+
+def _comb(ny, nx):
+    """Teeth on every other column, joined along the bottom row and pairwise at the top."""
+    m = np.zeros((ny, nx), dtype=bool)
+    m[-1, :] = True
+    m[:, ::2] = True
+    m[0, 1::4] = True
+    return m
+
+
+@pytest.mark.parametrize("open_mask", [
+    _spiral(61, 67),
+    _spiral(61, 67)[::-1, ::-1].copy(),
+    _comb(41, 53),
+    _comb(41, 53).T.copy(),
+    np.ones((9, 7), dtype=bool),
+    np.zeros((9, 7), dtype=bool),
+    np.array([[True, False], [False, True]]),
+    np.random.default_rng(3).random((40, 50)) < 0.6,
+], ids=["spiral", "spiral-flipped", "comb", "comb-transposed", "no-sentinel", "all-sentinel",
+        "2x2", "random"])
+def test_grid_passes_match_references_on_synthetic_masks(open_mask):
+    _assert_grid_passes_match(~open_mask)
+
+
+def test_full_oracle_on_curve_cell_raises():
+    # the traced curve of zdot = z + L z(t - 1/2) crosses the real axis at L = -1
+    F = presets.scalar_discrete(1.0, 0.0, 0.5)
+    window = (-1.5, -0.5, -0.5, 0.5)
+    branches = trace_covering(F, window)
+    assert min(np.min(np.abs(br.L + 1.0)) for br in branches) < 1e-9
+    # without the curves every cell stays open, the center one (L = -1) too
+    xs, ys = nu_map(F, window, (5, 5), []).cell_centers()
+    assert (xs[2], ys[2]) == (-1.0, 0.0)
+    with pytest.raises(OnSccError):
+        nu_map(F, window, (5, 5), [], full_oracle=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.integers(0, len(ORACLE_CASES) - 1), nx=st.integers(3, 14), ny=st.integers(3, 14),
+       size=st.floats(0.05, 0.3), fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0))
+def test_full_oracle_equals_propagation_and_contour_on_subwindows(case, nx, ny, size, fx, fy):
+    F, (re_lo, re_hi, im_lo, im_hi) = ORACLE_CASES[case]
+    # square cells of side size * (window width / 14), placed inside the system window
+    cell = size * (re_hi - re_lo) / 14
+    x0 = re_lo + fx * (re_hi - re_lo - nx * cell)
+    y0 = im_lo + fy * (im_hi - im_lo - ny * cell)
+    window = (x0, x0 + nx * cell, y0, y0 + ny * cell)
+    branches = _oracle_branches(case)
+    assume(not regions._rasterize_sentinels(branches, window, nx, ny).all())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        m = nu_map(F, window, (nx, ny), branches)
+        mo = nu_map(F, window, (nx, ny), branches, full_oracle=True)
+    assert np.array_equal(mo.labels, m.labels)
+    assert np.array_equal(mo.labels, _reference_full_oracle(F, mo))

@@ -180,6 +180,19 @@ def test_rate_grid_matches_single_runs(case):
         assert single(p) == rate
 
 
+@pytest.mark.parametrize("keep_from", [0, 1, 2, 57, 100])
+@pytest.mark.parametrize("rate", [-0.3, 40.0])  # at 40 every run blows up by step 36
+def test_rk4_keeps_step_zero_and_the_window(keep_from, rate):
+    def f(t, y):
+        return rate * y
+
+    y0 = np.array([1.0, 2.0])
+    full, blow = sim._rk4(f, y0, 0.01, 100, 1e6, lambda y: y)
+    kept, kept_blow = sim._rk4(f, y0, 0.01, 100, 1e6, lambda y: y, keep_from=keep_from)
+    assert np.array_equal(kept, np.concatenate([full[:1], full[max(keep_from, 1):]]))
+    assert np.array_equal(kept_blow, blow)
+
+
 @pytest.mark.parametrize("case", ["discrete", "gamma"])
 def test_blowup_freezes_only_its_column_scalar(case):
     params, grid, _ = _GRID_CASES[case]
