@@ -10,6 +10,7 @@ where hhat is the kernel transform, 0 <= k < q and k + j <= q.  A CharFun is
 that one dense complex tensor C, of shape (q, q + 1, D) for L-degree D - 1.
 ``build_charfun`` fills it by cofactor expansion of det[lam I - Q - B hhat];
 ``eval``, ``d_lambda`` and ``d_L`` broadcast over arrays of lam and L;
+``outer`` tabulates F over contour points times gains for the root counter;
 ``lpoly`` is the polynomial in L at a fixed lam that the curve tracer solves;
 ``radius_bound`` is the semicircle radius outside which F cannot vanish in
 the closed right half-plane (the bound that makes root counting valid).
@@ -101,6 +102,18 @@ class CharFun:
         for k, j in self.support:
             acc = acc - P[k, j] * lam**k * hh**j
         return acc[()] if np.ndim(acc) == 0 else acc
+
+    def outer(self, lam, L) -> np.ndarray:
+        """F(lam_p, L_c) for every point p of ``lam`` and gain c of ``L``, shape (len(lam), len(L)).
+
+        F is linear in the values P_{k,j}(L): the table is lam^q - Basis @ P(L)
+        with Basis[p, t] = lam_p^k hhat(lam_p)^j over ``support``, one matrix product.
+        """
+        lam, L = np.asarray(lam, dtype=complex), np.asarray(L, dtype=complex)
+        k, j = np.array(self.support, dtype=int).reshape(-1, 2).T
+        basis = lam[:, None] ** k * laplace(self.kernel, lam)[:, None] ** j
+        out = basis @ np.broadcast_to(_horner(self.C[k, j], L), (len(k), len(L)))  # also for an L-free table
+        return np.subtract((lam**self.q)[:, None], out, out=out)  # in place: no second large temporary
 
     def d_lambda(self, lam, L):
         """Partial derivative of F in lam."""

@@ -9,8 +9,10 @@ the controlled oscillator population.
 
 from __future__ import annotations
 
+import math
+
 from .charfun import CharFun, build_charfun
-from .kernels import DelayKernel, Dirac, Gamma
+from .kernels import DelayKernel, Dirac, Gamma, kernel_from_dict
 
 __all__ = [
     "scalar_discrete",
@@ -83,19 +85,13 @@ _PRESETS = {
     "scalar-discrete": (scalar_discrete, ("a", "d", "tau")),
     "scalar-gamma": (scalar_gamma, ("a", "n", "T")),
     "pd-agent": (pd_agent_mode, ("a", "b", "k1", "k2", "T")),
+    "coupling-mode": (coupling_mode, ("kernel",)),
+    "oscillator-mode": (oscillator_mode, ("K", "d", "kernel")),
 }
 
 
 def preset_charfun(name: str, params: dict) -> CharFun:
-    """Build a CharFun from a preset name and its parameter dict."""
-    if name == "coupling-mode":
-        from .kernels import kernel_from_dict
-
-        return coupling_mode(kernel_from_dict(params["kernel"]))
-    if name == "oscillator-mode":
-        from .kernels import kernel_from_dict
-
-        return oscillator_mode(params["K"], params["d"], kernel_from_dict(params["kernel"]))
+    """Build a CharFun from a preset name and its parameters: finite real numbers, and a kernel dict."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset: {name!r}")
     factory, arg_names = _PRESETS[name]
@@ -105,4 +101,8 @@ def preset_charfun(name: str, params: dict) -> CharFun:
     extra = [k for k in params if k not in arg_names]
     if extra:
         raise ValueError(f"preset {name!r} got unknown parameters: {extra}")
-    return factory(**{k: params[k] for k in arg_names})
+    for k in arg_names:
+        v = params[k]
+        if k != "kernel" and (isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)):
+            raise ValueError(f"preset {name!r} parameter {k!r} must be a finite real number, got {v!r}")
+    return factory(**{k: kernel_from_dict(params[k]) if k == "kernel" else params[k] for k in arg_names})

@@ -5,18 +5,17 @@ is computed by accumulating the winding of F along a closed contour: down
 the imaginary axis and back along the right semicircle whose radius comes
 from the coefficient bound (no roots can live beyond it).  Phase tracking
 with adaptive midpoint insertion is used instead of quadrature of the
-logarithmic derivative; it stays robust near contour-adjacent roots.
+logarithmic derivative; it stays robust near contour-adjacent roots.  One
+counter, ``_winding``, does every count: a batch of gains shares one
+contour, F on its points is one matrix product per block of gains
+(``CharFun.outer``), and each gain ends with a status (its NU, on a curve
+or unresolved) instead of an exception; ``nu_contour`` is a batch of one.
 
-NU is constant between crossing curves, so a window map needs one contour
-evaluation per connected component: cells near the curves are masked out,
-the rest are flood-filled, and each component is labeled at its cell
-farthest from any curve.  A full-oracle mode labels every cell as a
-cross-check.  Its cells share one contour per window, with the radius bound
-of the disk that holds the window: F is linear in the gain polynomials
-P_kj(L), so F on the shared points is one matrix product per block of
-cells.  A cell whose column fails any of ``nu_contour``'s tests there (axis
-clearance, phase steps, an integer winding) falls back to its own
-``nu_contour``, which refines adaptively and raises as usual.
+NU is constant between crossing curves, so a window map needs one count per
+connected component: cells near the curves are masked out, the rest are
+flood-filled, and each component is labeled by the first of its five most
+curve-distant cells that is off the curves, all components in one batch.
+A full-oracle mode counts every open cell in one batch as a cross-check.
 
 The grid passes are whole-array numpy: the curve segments are sub-sampled
 in one flat layout, components come from root hooking with pointer jumping
@@ -32,9 +31,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charfun import CharFun, _horner, radius_bound
+from .charfun import CharFun, radius_bound
 from .eigen import poly_roots
-from .kernels import laplace
 from .scc import SccBranch, trace
 
 __all__ = [
@@ -59,88 +57,103 @@ class WindingUnresolvedError(RuntimeError):
     """Phase tracking could not settle on an integer winding number."""
 
 
-def _wrap(d: np.ndarray) -> np.ndarray:
-    return (d + np.pi) % (2.0 * np.pi) - np.pi
-
-
 _ROUND_GUARD = 0.05  # largest distance of the winding from an integer
 _MAX_CONTOUR_POINTS = 200_000
 _ON_SCC_TOL = 1e-6  # default axis clearance of F, relative to max(1, |beta|^q)
+_AXIS_POINTS, _ARC_POINTS = 769, 193  # starting contour: points on the axis, on the arc with its t = 0 end
+_BLOCK = 1 << 17  # contour values per column block
+_ON_CURVE, _UNRESOLVED = -1, -2  # counter statuses besides a count NU >= 0
+
+
+def _winding(F: CharFun, Ls, on_scc_tol: float = _ON_SCC_TOL):
+    """NU of F(., L) for every gain of the batch ``Ls``, by phase tracking, as statuses.
+
+    All gains share one contour, whose radius ``radius_bound`` gives for the
+    disk that holds the batch, and are counted in column blocks.  Each round
+    tests every live column of a block: a wrapped phase step above the
+    column's threshold asks for that step's midpoint; with none, a winding
+    within ``_ROUND_GUARD`` of an integer >= 0 settles the column, and any
+    other winding halves the threshold (down to pi/64) or leaves the column
+    unresolved.  Midpoints go wherever a live column asks for one and are
+    evaluated for the live columns only.  Returns ``(nu, beta)``: ``nu[c]``
+    is the count, ``_ON_CURVE`` when |F| falls below ``on_scc_tol *
+    max(1, |beta|^q)`` on the axis (``beta[c]`` is the first such point) or
+    ``_UNRESOLVED`` when the values are not finite or the winding does not
+    settle.  A failed count never raises.
+    """
+    Ls = np.atleast_1d(np.asarray(Ls, dtype=complex))
+    nu = np.full(len(Ls), _UNRESOLVED)
+    beta = np.full(len(Ls), np.nan)
+    if not len(Ls):
+        return nu, beta
+    center = 0.5 * (complex(Ls.real.min(), Ls.imag.min()) + complex(Ls.real.max(), Ls.imag.max()))
+    R = radius_bound(F, center, float(np.abs(Ls - center).max()))
+    # one parameter along the contour: p = s / R on the axis lam = -i s, s from
+    # -R to R, then p = 1 + t on the arc lam = R e^{i(t - pi/2)}, t in (0, pi]
+    # (t = pi closes at i R).  R is a power of two, so s = R p is exact, and the
+    # midpoint of the axis end and the first arc point lies on the arc.
+    start = np.concatenate([np.linspace(-1.0, 1.0, _AXIS_POINTS), 1.0 + np.linspace(0.0, np.pi, _ARC_POINTS)[1:]])
+    block = max(1, _BLOCK // len(start))
+    for lo in range(0, len(Ls), block):
+        live = np.arange(lo, min(lo + block, len(Ls)))
+        thr = np.full(len(live), np.pi / 4.0)
+        pos = new = start
+        for rnd in range(61):
+            axis = new <= 1.0
+            fm = F.outer(np.where(axis, -1j * R * new, R * np.exp(1j * (new - 1.0 - np.pi / 2.0))), Ls[live])
+            finite = np.isfinite(fm).all(axis=0)
+            low = np.abs(fm) < np.where(axis, on_scc_tol * np.maximum(1.0, np.abs(R * new) ** F.q), 0.0)[:, None]
+            on = finite & low.any(axis=0)
+            if on.any():
+                nu[live[on]] = _ON_CURVE
+                beta[live[on]] = -R * new[low[:, on].argmax(axis=0)]
+            keep = finite & ~on
+            if rnd:  # the contour is its points in parameter order
+                order = np.argsort(np.concatenate([pos, new]), kind="stable")
+                pos = np.concatenate([pos, new])[order]
+                f = np.concatenate([f, fm])[order][:, keep]
+            else:
+                f = fm if keep.all() else fm[:, keep]
+            live, thr = live[keep], thr[keep]
+            if not len(live) or len(pos) > _MAX_CONTOUR_POINTS or rnd == 60:
+                break
+            d = np.angle(f[1:] * f[:-1].conj())
+            bad = np.abs(d) > thr
+            calm = ~bad.any(axis=0)
+            total = d.sum(axis=0) / (2.0 * np.pi)
+            n = np.round(total)
+            done = calm & (np.abs(total - n) <= _ROUND_GUARD) & (n >= 0)
+            nu[live[done]] = n[done]
+            retry = calm & ~done & (thr > np.pi / 64.0)
+            thr[retry] /= 2.0
+            bad[:, retry] = np.abs(d[:, retry]) > thr[retry]
+            keep = bad.any(axis=0)  # every other calm column is settled or unresolved
+            f, live, thr, bad = f[:, keep], live[keep], thr[keep], bad[:, keep]
+            if not len(live):
+                break
+            idx = np.nonzero(bad.any(axis=1))[0]
+            new = 0.5 * (pos[idx] + pos[idx + 1])
+    return nu, beta
+
+
+def _raise_status(nu: int, beta: float, L: complex) -> None:
+    if nu == _ON_CURVE:
+        raise OnSccError(f"root on the imaginary axis near beta={beta:.6g} for L={L:.6g}")
+    if nu == _UNRESOLVED:
+        raise WindingUnresolvedError(f"phase tracking did not settle on an integer winding at L={L:.6g}")
 
 
 def nu_contour(F: CharFun, L: complex, *, on_scc_tol: float = _ON_SCC_TOL) -> int:
     """Count roots of F(., L) with nonnegative real part.
 
     Raises OnSccError when a root sits on (or numerically too close to) the
-    imaginary axis, making the count ill-defined at tolerance.
+    imaginary axis, making the count ill-defined at tolerance, and
+    WindingUnresolvedError when phase tracking does not settle.
     """
     L = complex(L)
-    R = radius_bound(F, L, 0.0)
-
-    # kind 0: axis lam = -i*s, s in [-R, R]; kind 1: arc lam = R e^{i(t - pi/2)},
-    # t in (0, pi].  The closing point (t = pi) coincides with the start (i R).
-    n_axis, n_arc = 97, 49
-    kind = np.concatenate([np.zeros(n_axis, dtype=np.int8), np.ones(n_arc - 1, dtype=np.int8)])
-    par = np.concatenate([np.linspace(-R, R, n_axis), np.linspace(0.0, np.pi, n_arc)[1:]])
-
-    def lam_of(kd, pr):
-        return np.where(kd == 0, -1j * pr, R * np.exp(1j * (pr - np.pi / 2.0)))
-
-    def check_axis(kd, pr, fv):
-        ax = kd == 0
-        if not np.any(ax):
-            return
-        scale = np.maximum(1.0, np.abs(pr[ax]) ** F.q)
-        bad = np.abs(fv[ax]) < on_scc_tol * scale
-        if np.any(bad):
-            b = pr[ax][bad][0]
-            raise OnSccError(f"root on the imaginary axis near beta={-b:.6g} for L={L:.6g}")
-
-    fv = F.eval(lam_of(kind, par), L)
-    if not np.all(np.isfinite(fv)):
-        raise WindingUnresolvedError("characteristic function not finite on the contour")
-    check_axis(kind, par, fv)
-
-    threshold = np.pi / 4.0
-    for _ in range(60):
-        phi = np.angle(fv)
-        d = _wrap(np.diff(phi))
-        bad = np.abs(d) > threshold
-        if not np.any(bad):
-            total = d.sum() / (2.0 * np.pi)
-            nu = int(np.round(total))
-            if abs(total - nu) > _ROUND_GUARD or nu < 0:
-                if threshold > np.pi / 64.0:
-                    threshold /= 2.0
-                    bad = np.abs(d) > threshold
-                    if not np.any(bad):
-                        raise WindingUnresolvedError(
-                            f"winding {total:.4f} not close to an integer at L={L:.6g}"
-                        )
-                else:
-                    raise WindingUnresolvedError(
-                        f"winding {total:.4f} not close to an integer at L={L:.6g}"
-                    )
-            else:
-                return nu
-        idx = np.nonzero(bad)[0]
-        k0, k1 = kind[idx], kind[idx + 1]
-        p0, p1 = par[idx], par[idx + 1]
-        # an axis->arc junction pair is refined on the arc (the axis endpoint
-        # is the arc's t = 0 point)
-        mid_kind = np.where(k0 == k1, k0, 1).astype(np.int8)
-        mid_par = np.where(k0 == k1, 0.5 * (p0 + p1), 0.5 * (np.where(k0 == 0, 0.0, p0) + p1))
-        mid_lam = lam_of(mid_kind, mid_par)
-        mid_f = F.eval(mid_lam, L)
-        if not np.all(np.isfinite(mid_f)):
-            raise WindingUnresolvedError("characteristic function not finite on the contour")
-        check_axis(mid_kind, mid_par, mid_f)
-        kind = np.insert(kind, idx + 1, mid_kind)
-        par = np.insert(par, idx + 1, mid_par)
-        fv = np.insert(fv, idx + 1, mid_f)
-        if len(par) > _MAX_CONTOUR_POINTS:
-            raise WindingUnresolvedError(f"contour refinement exceeded {_MAX_CONTOUR_POINTS} points at L={L:.6g}")
-    raise WindingUnresolvedError(f"phase tracking did not converge at L={L:.6g}")
+    nu, beta = _winding(F, L, on_scc_tol)
+    _raise_status(nu[0], beta[0], L)
+    return int(nu[0])
 
 
 def _nu_polynomial(F: CharFun, L: complex) -> int:
@@ -297,50 +310,6 @@ def _components(open_mask: np.ndarray) -> np.ndarray:
     return comp.reshape(ny, nx)
 
 
-_ORACLE_AXIS, _ORACLE_ARC = 769, 193  # shared-contour points on the axis and on the arc (with its t = 0 end)
-_ORACLE_BLOCK = 1 << 17  # contour values per column block of gains
-
-
-def _full_oracle(F: CharFun, window, xs, ys, open_mask) -> np.ndarray:
-    """NU at the center of every open cell, in row-major order.
-
-    One contour serves the whole window: its radius comes from the disk
-    around the window center through the corners, valid for every cell.
-    F is linear in the values P_kj(L), so on the shared points F = lam^q -
-    Basis @ P(L), with Basis[p, t] = lam_p^k hhat(lam_p)^j over the terms of
-    ``F.support``.  A column is accepted when it passes ``nu_contour``'s own
-    tests at the first threshold: finite values, axis clearance, every
-    wrapped phase step at most pi/4 and a winding within ``_ROUND_GUARD`` of
-    a nonnegative integer.  Every other cell is counted by ``nu_contour``.
-    """
-    re_lo, re_hi, im_lo, im_hi = window
-    center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-    R = radius_bound(F, center, 0.5 * np.hypot(re_hi - re_lo, im_hi - im_lo))
-    s = np.linspace(-R, R, _ORACLE_AXIS)
-    t = np.linspace(0.0, np.pi, _ORACLE_ARC)[1:]
-    lam = np.concatenate([-1j * s, R * np.exp(1j * (t - np.pi / 2.0))])
-    clear = _ON_SCC_TOL * np.maximum(1.0, np.abs(s) ** F.q)[:, None]
-    k, j = np.array(F.support, dtype=int).reshape(-1, 2).T
-    basis = lam[:, None] ** k * laplace(F.kernel, lam)[:, None] ** j
-    coef = F.C[k, j]  # P_kj(L) coefficients, in the order of the basis columns
-    lamq = (lam**F.q)[:, None]
-    iy, ix = np.nonzero(open_mask)
-    nu = np.empty(len(iy), dtype=int)
-    block = max(1, _ORACLE_BLOCK // len(lam))
-    for lo in range(0, len(iy), block):
-        cells = slice(lo, lo + block)
-        fv = lamq - basis @ _horner(coef, xs[ix[cells]] + 1j * ys[iy[cells]])
-        d = _wrap(np.diff(np.angle(fv), axis=0))
-        total = d.sum(axis=0) / (2.0 * np.pi)
-        n = np.round(total)
-        ok = np.isfinite(fv).all(axis=0) & (np.abs(fv[: len(s)]) >= clear).all(axis=0)
-        ok &= (np.abs(d) <= np.pi / 4.0).all(axis=0) & (np.abs(total - n) <= _ROUND_GUARD) & (n >= 0)
-        nu[cells] = np.where(ok, n, -1)
-    for c in np.nonzero(nu < 0)[0]:
-        nu[c] = nu_contour(F, complex(xs[ix[c]], ys[iy[c]]))
-    return nu
-
-
 def nu_map(
     F: CharFun,
     window: Tuple[float, float, float, float],
@@ -352,9 +321,9 @@ def nu_map(
     """Label NU over a window grid.
 
     Cells within half a cell diagonal of a traced curve are masked (-1).  In
-    the default mode each flood-filled component is labeled by one contour
-    count at its most curve-distant cell; with ``full_oracle`` every cell is
-    counted independently.
+    the default mode each flood-filled component is labeled by the count at
+    the first of its five most curve-distant cells that is not on a curve;
+    with ``full_oracle`` every open cell is counted.
     """
     re_lo, re_hi, im_lo, im_hi = window
     if not (re_hi > re_lo and im_hi > im_lo):
@@ -379,49 +348,49 @@ def nu_map(
     sentinel = _rasterize_sentinels(branches, window, nx, ny)
     open_mask = ~sentinel
     comp = _components(open_mask)
+    n_comp = comp.max() + 1
+    if not n_comp:
+        raise OnSccError("no labelable cell in the window; refine the resolution")
     rank = _bfs_rank(sentinel) if sentinel.any() else np.ones((ny, nx), dtype=int)
 
     xs, ys = (
         re_lo + (np.arange(nx) + 0.5) * (re_hi - re_lo) / nx,
         im_lo + (np.arange(ny) + 0.5) * (im_hi - im_lo) / ny,
     )
+    gains = xs[None, :] + 1j * ys[:, None]
+    cells = [np.nonzero(comp == cid) for cid in range(n_comp)]
+    cands = []  # each component's five most curve-distant cells, farthest first
+    for iy, ix in cells:
+        top = np.argsort(rank[iy, ix])[::-1][:5]
+        cands.append((iy[top], ix[top]))
     labels = np.full((ny, nx), -1, dtype=int)
-
-    n_comp = comp.max() + 1
-    anchor: Optional[Tuple[complex, int, str]] = None
-    best_rank = -1
-    for cid in range(n_comp):
-        cells = np.nonzero(comp == cid)
-        order = np.argsort(rank[cells])[::-1]
-        nu_val = None
-        for pick in order[:5]:
-            iy, ix = cells[0][pick], cells[1][pick]
-            try:
-                nu_val = nu_contour(F, complex(xs[ix], ys[iy]))
-            except OnSccError:
-                continue
-            break
-        if nu_val is None:
-            raise OnSccError(
-                f"component {cid} has no cell clear of the curves; refine the resolution"
-            )
-        labels[cells] = nu_val
-        top = int(rank[cells].max())
-        if top > best_rank:
-            iy, ix = cells[0][order[0]], cells[1][order[0]]
-            L0 = complex(xs[ix], ys[iy])
-            if F.delay_free():
-                nu_poly = _nu_polynomial(F, L0)
-                anchor = (L0, nu_poly, "polynomial")
-            else:
-                anchor = (L0, nu_val, "contour")
-            best_rank = top
-
     if full_oracle:
-        labels[open_mask] = _full_oracle(F, window, xs, ys, open_mask)
+        L = gains[open_mask]
+        nu, beta = _winding(F, L)
+        failed = np.nonzero(nu < 0)[0]
+        if len(failed):  # the first failing cell in row-major order
+            _raise_status(nu[failed[0]], beta[failed[0]], L[failed[0]])
+        labels[open_mask] = nu
+    else:
+        L = np.concatenate([gains[c] for c in cands])
+        nu, beta = _winding(F, L)
+        lo = 0
+        for cid, (iy, _) in enumerate(cands):
+            clear = np.nonzero(nu[lo : lo + len(iy)] != _ON_CURVE)[0]
+            if not len(clear):
+                raise OnSccError(f"component {cid} has no cell clear of the curves; refine the resolution")
+            c = lo + clear[0]
+            _raise_status(nu[c], beta[c], L[c])
+            labels[cells[cid]] = nu[c]
+            lo += len(iy)
 
-    if anchor is None:
-        raise OnSccError("no labelable cell in the window; refine the resolution")
+    # the anchor: the top cell of the first component reaching the largest curve distance
+    iy, ix = cands[int(np.argmax([rank[cs].max() for cs in cells]))]
+    L0 = complex(xs[ix[0]], ys[iy[0]])
+    if F.delay_free():
+        anchor = (L0, _nu_polynomial(F, L0), "polynomial")
+    else:
+        anchor = (L0, int(labels[iy[0], ix[0]]), "contour")
     return NuMap(
         window=tuple(window),
         resolution=(nx, ny),

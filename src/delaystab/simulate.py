@@ -447,10 +447,12 @@ def simulate_mas(
 ) -> MasResult:
     """Second-order agents with delayed PD coupling through matrix J.
 
-    Coupling signals pass through a first-order filter of mean T (T = 0 is
-    undelayed).  'Stabilized' means the position/velocity norm over the last
-    tenth of the horizon stays below 1e-3 of its initial value.
+    Coupling signals pass through a first-order filter of mean T >= 0 (T = 0
+    is undelayed).  'Stabilized' means the position/velocity norm over the
+    last tenth of the horizon stays below 1e-3 of its initial value.
     """
+    if T < 0:
+        raise ValueError(f"PD coupling delay must be nonnegative, got T={T}")
     J = np.asarray(J, dtype=float)
     N = J.shape[0]
     x0, v0 = _mas_initial(cfg, 1, N)
@@ -537,6 +539,8 @@ def mas_ensemble(
     the blow-up threshold: a run that crosses it has grown far past 1e-3 of
     its initial norm and is unstabilized either way.
     """
+    if T < 0:
+        raise ValueError(f"PD coupling delay must be nonnegative, got T={T}")
     Js = np.asarray(Js, dtype=float)
     S, N, _ = Js.shape
     x0, v0 = _mas_initial(cfg, S, N)

@@ -125,6 +125,23 @@ def test_numap_pd_agent_negative_delay_exit_2_writes_nothing(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_simulate_mas_negative_delay_exit_2_writes_nothing(tmp_path):
+    params = {"a": 1, "b": 1, "k1": 1, "k2": 1.1, "T": -0.5, "network": {"kind": "ring", "n": 5, "alpha": 1.0}}
+    code, out = run(tmp_path, "simulate", {"model": "mas", "params": params, "sim": {"dt": 0.01, "horizon": 10.0}})
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("tau", [True, "x", None, [0.5]], ids=["bool", "string", "null", "list"])
+def test_preset_non_number_param_exit_2_writes_nothing(tmp_path, capsys, tau):
+    config = {"preset": "scalar-discrete", "params": {"a": 1.0, "d": 0.0, "tau": tau},
+              "beta": {"lo": -2, "hi": 2, "step": 0.1}}
+    code, out = run(tmp_path, "scc", config)
+    assert code == 2
+    assert "preset 'scalar-discrete' parameter 'tau' must be a finite real number" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_missing_preset_and_system_exit_2(tmp_path):
     code, _ = run(tmp_path, "scc", {"beta": {"lo": 0, "hi": 1, "step": 0.1}})
     assert code == 2

@@ -429,6 +429,46 @@ def test_full_oracle_on_curve_cell_raises():
         nu_map(F, window, (5, 5), [], full_oracle=True)
 
 
+ON, UNRESOLVED = regions._ON_CURVE, regions._UNRESOLVED
+
+
+def test_winding_reports_statuses_without_raising():
+    F = presets.scalar_discrete(1.0, 0.0, 0.5)
+    nu, beta = regions._winding(F, [-1.0, -1.5, 0.0, -3.0])
+    assert nu.tolist() == [ON, 0, 1, 2]
+    assert beta[0] == 0.0 and np.isnan(beta[1:]).all()
+    # with no axis clearance the root at lam = 0 (L = -1) is left unresolved, not raised
+    nu, _ = regions._winding(F, [-1.5, -1.0, 0.0], on_scc_tol=0.0)
+    assert nu.tolist() == [0, UNRESOLVED, 1]
+    with pytest.raises(regions.WindingUnresolvedError):
+        nu_contour(F, -1.0, on_scc_tol=0.0)
+
+
+@pytest.mark.parametrize("statuses, want", [
+    ([ON, 7, UNRESOLVED, UNRESOLVED, ON], 7),  # the next candidate labels; later failures go unused
+    ([3, UNRESOLVED, UNRESOLVED, UNRESOLVED, UNRESOLVED], 3),
+    ([UNRESOLVED, 7, 7, 7, 7], regions.WindingUnresolvedError),
+    ([ON, ON, ON, ON, ON], OnSccError),
+], ids=["on-curve-first", "unresolved-later", "unresolved-first", "all-on-curve"])
+def test_component_label_takes_first_candidate_off_the_curves(monkeypatch, statuses, want):
+    # no curves: one component whose five candidates are counted in one batch
+    calls = []
+
+    def counter(F, Ls, on_scc_tol=regions._ON_SCC_TOL):
+        calls.append(len(Ls))
+        return np.array(statuses), np.zeros(len(Ls))
+
+    monkeypatch.setattr(regions, "_winding", counter)
+    F = presets.scalar_discrete(1.0, 0.0, 0.5)
+    if isinstance(want, int):
+        m = nu_map(F, (-1.0, 1.0, -1.0, 1.0), (6, 6), [])
+        assert np.all(m.labels == want) and m.anchor[1] == want
+    else:
+        with pytest.raises(want):
+            nu_map(F, (-1.0, 1.0, -1.0, 1.0), (6, 6), [])
+    assert calls == [5]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=st.integers(0, len(ORACLE_CASES) - 1), nx=st.integers(3, 14), ny=st.integers(3, 14),
        size=st.floats(0.05, 0.3), fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0))

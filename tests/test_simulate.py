@@ -232,6 +232,14 @@ def test_mas_diagonal_decouples_to_membership():
     assert membership(F, -0.5).verdict == "unstable"
 
 
+def test_mas_negative_delay_rejected():
+    cfg = sim.SimConfig(dt=0.01, horizon=10.0, history=sim.UniformHistory(1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        sim.simulate_mas(1.0, 1.0, 1.0, 1.1, -0.5, -2.0 * np.eye(3), cfg)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sim.mas_ensemble(1.0, 1.0, 1.0, 1.1, -0.5, -2.0 * np.eye(3)[None], cfg)
+
+
 def test_mas_zero_noise_random_net():
     # alpha = 0 collapses the random net to -R I: decoupled identical agents
     J = nw.network_matrix(nw.RandomNet(40, 2.0, 0.0, seed=9))
