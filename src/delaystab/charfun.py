@@ -11,7 +11,7 @@ that one dense complex tensor C, of shape (q, q + 1, D) for L-degree D - 1.
 ``build_charfun`` fills it by cofactor expansion of det[lam I - Q - B hhat];
 ``eval``, ``d_lambda`` and ``d_L`` broadcast over arrays of lam and L;
 ``outer`` tabulates F over contour points times gains for the root counter;
-``lpoly`` is the polynomial in L at a fixed lam that the curve tracer solves;
+``lpoly`` tabulates the polynomials in L at fixed lam that the curve tracer solves;
 ``radius_bound`` is the semicircle radius outside which F cannot vanish in
 the closed right half-plane (the bound that makes root counting valid).
 """
@@ -152,15 +152,20 @@ class CharFun:
             acc = acc + P[k, j] * r**k * hh**j
         return acc
 
-    def lpoly(self, lam: complex) -> np.ndarray:
-        """Coefficients (ascending in L) of L -> F(lam, L) at fixed lam, solved at lam = i*beta."""
-        lam = complex(lam)
-        hh = laplace(self.kernel, lam)
-        out = np.zeros(self.C.shape[2], dtype=complex)
-        out[0] = lam**self.q
+    def lpoly(self, lam) -> np.ndarray:
+        """Coefficients (ascending in L) of L -> F(lam, L) at fixed lam, solved at lam = i*beta.
+
+        A 1-D array of m values of lam gives an (m, D) table, one row per value;
+        a scalar lam gives one row as a 1-D array.
+        """
+        lam = np.asarray(lam, dtype=complex)
+        lams = lam.reshape(-1)
+        hh = laplace(self.kernel, lams)
+        out = np.zeros((lams.size, self.C.shape[2]), dtype=complex)
+        out[:, 0] = np.power(lams, self.q)  # np.power rounds a scalar and an array alike; ** may not
         for k, j in self.support:
-            out -= self.C[k, j] * lam**k * hh**j
-        return out
+            out -= self.C[k, j] * np.power(lams, k)[:, None] * np.power(hh, j)[:, None]
+        return out[0] if lam.ndim == 0 else out
 
     def __repr__(self) -> str:
         return f"CharFun(q={self.q}, kernel={self.kernel!r}, terms={self.support})"

@@ -11,6 +11,7 @@ form and accept scalar or numpy-array arguments for ``lam``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -130,7 +131,9 @@ def laplace(kernel: DelayKernel, lam):
     elif isinstance(kernel, Uniform):
         out = np.exp(-kernel.a * lam) * _uniform_g(kernel.A * lam)
     elif isinstance(kernel, Gamma):
-        out = _gamma_base(kernel.n, kernel.T, lam) ** (-kernel.n)
+        # np.power rounds a scalar and an array alike; ``array ** -1`` takes
+        # numpy's reciprocal shortcut, which rounds differently from 1/x
+        out = np.power(_gamma_base(kernel.n, kernel.T, lam), -kernel.n)
     else:
         raise TypeError(f"not a delay kernel: {kernel!r}")
     return out[()] if out.ndim == 0 else out
@@ -164,14 +167,39 @@ def kernel_to_dict(kernel: DelayKernel) -> dict:
     raise TypeError(f"not a delay kernel: {kernel!r}")
 
 
+def _finite_real(v) -> bool:
+    """True for a real number, not a bool, that a float holds finitely (NaN, inf and huge ints fail)."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+_KERNEL_FIELDS = {"dirac": ("tau",), "uniform": ("a", "A"), "gamma": ("n", "T"), "exponential": ("T",)}
+
+
 def kernel_from_dict(d: dict) -> DelayKernel:
+    """Build a kernel from its dict form, ``{"kind": ..., <fields of that kind>}``.
+
+    Every field must be a finite real number (not a bool) and the Gamma
+    shape ``n`` a positive integer; anything else raises ValueError.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"kernel must be a dict with a 'kind', got {d!r}")
     kind = d.get("kind")
+    if kind not in _KERNEL_FIELDS:
+        raise ValueError(f"unknown kernel kind: {kind!r}")
+    names = _KERNEL_FIELDS[kind]
+    missing = [k for k in names if k not in d]
+    extra = [k for k in d if k != "kind" and k not in names]
+    if missing or extra:
+        raise ValueError(f"{kind} kernel takes fields {list(names)}; missing {missing}, unknown {extra}")
+    for k in names:
+        if not _finite_real(d[k]):
+            raise ValueError(f"kernel field {k!r} must be a finite real number, got {d[k]!r}")
     if kind == "dirac":
         return Dirac(tau=float(d["tau"]))
     if kind == "uniform":
         return Uniform(a=float(d["a"]), A=float(d["A"]))
-    if kind == "gamma":
-        return Gamma(n=int(d["n"]), T=float(d["T"]))
     if kind == "exponential":
         return Gamma(n=1, T=float(d["T"]))
-    raise ValueError(f"unknown kernel kind: {kind!r}")
+    if not (float(d["n"]).is_integer() and d["n"] >= 1):
+        raise ValueError(f"kernel field 'n' must be a positive integer, got {d['n']!r}")
+    return Gamma(n=int(d["n"]), T=float(d["T"]))

@@ -9,10 +9,9 @@ the controlled oscillator population.
 
 from __future__ import annotations
 
-import math
 
 from .charfun import CharFun, build_charfun
-from .kernels import DelayKernel, Dirac, Gamma, kernel_from_dict
+from .kernels import DelayKernel, Dirac, Gamma, _finite_real, kernel_from_dict
 
 __all__ = [
     "scalar_discrete",
@@ -91,7 +90,10 @@ _PRESETS = {
 
 
 def preset_charfun(name: str, params: dict) -> CharFun:
-    """Build a CharFun from a preset name and its parameters: finite real numbers, and a kernel dict."""
+    """Build a CharFun from a preset name and its parameters: finite real numbers, and a kernel dict.
+
+    A malformed parameter raises ValueError naming the preset and the parameter.
+    """
     if name not in _PRESETS:
         raise ValueError(f"unknown preset: {name!r}")
     factory, arg_names = _PRESETS[name]
@@ -101,8 +103,15 @@ def preset_charfun(name: str, params: dict) -> CharFun:
     extra = [k for k in params if k not in arg_names]
     if extra:
         raise ValueError(f"preset {name!r} got unknown parameters: {extra}")
+    args = {}
     for k in arg_names:
         v = params[k]
-        if k != "kernel" and (isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)):
+        if k == "kernel":
+            try:
+                v = kernel_from_dict(v)
+            except ValueError as e:
+                raise ValueError(f"preset {name!r} parameter 'kernel': {e}") from None
+        elif not _finite_real(v):
             raise ValueError(f"preset {name!r} parameter {k!r} must be a finite real number, got {v!r}")
-    return factory(**{k: kernel_from_dict(params[k]) if k == "kernel" else params[k] for k in arg_names})
+        args[k] = v
+    return factory(**args)

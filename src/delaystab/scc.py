@@ -9,6 +9,16 @@ continuation.  Each node carries the curve tangent from implicit
 differentiation and an unwrapped polar profile; crossing reports give the
 direction in which the unstable-root count drops when stepping over the
 curve.
+
+Refinement runs level by level.  The base grid is solved in one batch: one
+coefficient table ``CharFun.lpoly`` over all its frequencies, one stacked
+``poly_roots`` call and one masked Newton polish.  Whether an interval is
+bisected depends only on its two ends, so every open interval of a level
+is decided at once with array operations (a vectorized greedy root match),
+and the midpoints of the intervals that split form the next batch.  At
+most ``_MAX_DEPTH`` + 1 levels run.  The accepted nodes are those of a
+depth-first bisection, and the batch keeps each node's scalar arithmetic,
+so the traced gains do not depend on how the nodes were grouped.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .charfun import CharFun
-from .eigen import poly_roots
+from .eigen import _cabs, _cmul, poly_roots
 
 __all__ = [
     "SccBranch",
@@ -83,7 +93,7 @@ class SccBranch:
         seed = complex(np.interp(b, self.beta, self.L.real) + 1j * np.interp(b, self.beta, self.L.imag))
         if self.charfun is None:
             return seed
-        return _newton_polish(self.charfun.lpoly(1j * b), seed)
+        return _newton_polish(self.charfun.lpoly(np.array([1j * b])), np.array([[seed]]))[0, 0]
 
     def tangent_at(self, beta: float) -> complex:
         """Implicit-formula tangent at an arbitrary beta (traced branches)."""
@@ -118,35 +128,45 @@ class CrossingReport:
     flag: Optional[str] = None
 
 
-def _newton_polish(coeffs: np.ndarray, L0: complex) -> complex:
-    """At most 12 Newton steps on the gain polynomial with ascending ``coeffs``, from ``L0``."""
-    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
-    L = L0
+def _newton_polish(coeffs: np.ndarray, L0: np.ndarray) -> np.ndarray:
+    """At most 12 Newton steps from each seed of ``L0`` (m, n) on its row's gain polynomial.
+
+    ``coeffs`` (m, D) holds each row's ascending coefficients.  Every seed
+    stops on its own tests; NaN seeds are left as they are.
+    """
+    dcoeffs = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+    L = L0.copy()
+    row, col = np.nonzero(~np.isnan(L))
     for _ in range(12):
-        g = _horner(coeffs, L)
-        if abs(g) <= 1e-13 * max(1.0, abs(L)):
+        x = L[row, col]
+        g = _horner(coeffs[row], x)
+        gp = _horner(dcoeffs[row], x)
+        go = ~(_cabs(g) <= 1e-13 * np.fmax(1.0, _cabs(x))) & (gp != 0.0)
+        row, col = row[go], col[go]
+        if not row.size:
             break
-        gp = _horner(dcoeffs, L)
-        if gp == 0.0:
-            break
-        L = L - g / gp
+        L[row, col] = x[go] - g[go] / gp[go]
     return L
 
 
-def _horner(coeffs: np.ndarray, x: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in coeffs[::-1]:
-        acc = acc * x + c
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_d coeffs[i, d] x[i]^d for each i."""
+    acc = np.zeros(x.shape, dtype=complex)
+    for d in range(coeffs.shape[-1] - 1, -1, -1):
+        acc = _cmul(acc, x) + coeffs[..., d]
     return acc
 
 
-def _solve_nodes(F: CharFun, beta: float) -> np.ndarray:
-    coeffs = F.lpoly(1j * beta)
-    scale = np.max(np.abs(coeffs))
-    if scale == 0.0 or not np.isfinite(scale):
+def _solve_nodes(F: CharFun, betas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Polished gain roots at every beta: an (m, D - 1) array, NaN past each node's count, and the counts."""
+    coeffs = F.lpoly(1j * betas)
+    scale = np.max(np.abs(coeffs), axis=1)
+    singular = (scale == 0.0) | ~np.isfinite(scale)
+    if singular.any():
+        beta = betas[np.argmax(singular)]
         raise IdenticallySingularError(f"characteristic function vanishes identically in L at beta={beta}")
     roots = poly_roots(coeffs)
-    return np.array([_newton_polish(coeffs, r) for r in roots], dtype=complex)
+    return _newton_polish(coeffs, roots), np.sum(~np.isnan(roots), axis=1)
 
 
 def _greedy_match(prev: np.ndarray, new: np.ndarray) -> List[Tuple[int, int, float]]:
@@ -165,6 +185,51 @@ def _greedy_match(prev: np.ndarray, new: np.ndarray) -> List[Tuple[int, int, flo
     return out
 
 
+def _greedy_match_rows(p: np.ndarray, q: np.ndarray, k: np.ndarray):
+    """``_greedy_match`` of p[r, :k[r]] against q[r, :k[r]] for every row r at once.
+
+    Returns the index arrays I, J and distances D, each (m, n): column s of
+    row r is the s-th pair the greedy picks, valid for s < k[r].  Each pick
+    is the flat row-major argmin of the distance table with used rows and
+    columns masked, which breaks ties as the stable sort does.
+    """
+    m, n = p.shape
+    valid = np.arange(n) < k[:, None]
+    dist = np.where(valid[:, :, None] & valid[:, None, :], _cabs(p[:, :, None] - q[:, None, :]), np.inf)
+    I, J, D = (np.zeros((m, n), dtype=t) for t in (int, int, float))
+    rows = np.arange(m)
+    for s in range(n):
+        I[:, s], J[:, s] = np.divmod(np.argmin(dist.reshape(m, n * n), axis=1), n)
+        D[:, s] = dist[rows, I[:, s], J[:, s]]
+        dist[rows, I[:, s], :] = np.inf
+        dist[rows, :, J[:, s]] = np.inf
+    return I, J, D
+
+
+def _needs_split(width, r0, k0, r1, k1, *, min_step, far_cutoff, refine_tol) -> np.ndarray:
+    """Which intervals to bisect, from their widths and the roots (and counts) at both ends.
+
+    An interval splits when it is wider than ``min_step`` and its ends have
+    different root counts, or, unless every root is beyond ``far_cutoff``,
+    when a greedily matched root pair moves more than ``refine_tol`` or turns
+    by more than a right angle about the origin.
+    """
+    n = r0.shape[1]
+    inside = np.arange(n) < k0[:, None]
+    nearest = np.minimum(np.where(inside, np.abs(r0), np.inf).min(axis=1, initial=np.inf),
+                         np.where(inside, np.abs(r1), np.inf).min(axis=1, initial=np.inf))
+    check = np.flatnonzero((k0 == k1) & (k0 > 0) & ~(nearest > far_cutoff))
+    I, J, D = _greedy_match_rows(r0[check], r1[check], k0[check])
+    a = np.take_along_axis(r0[check], I, axis=1)
+    b = np.take_along_axis(r1[check], J, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        turn = (_cabs(a) > _POLAR_RADIUS_FLOOR) & (_cabs(b) > _POLAR_RADIUS_FLOOR) & (np.abs(np.angle(b / a)) > np.pi / 2)
+    moved = ((D > refine_tol) | turn) & (np.arange(n) < k0[check, None])
+    split = k0 != k1
+    split[check] = moved.any(axis=1)
+    return split & (width > min_step)
+
+
 def trace(
     F: CharFun,
     beta_lo: float,
@@ -178,7 +243,8 @@ def trace(
 
     The base grid has spacing ``step``; intervals where the curve moves more
     than ``refine_frac`` of the window diagonal (or turns by more than a
-    right angle) are bisected down to ``step / 2**12``.  Refinement is
+    right angle) are bisected down to ``step / 2**12``, one level at a time
+    with all of a level's new frequencies solved in one batch.  Refinement is
     suppressed where every root is far outside the window, so off-window
     excursions stay cheap.  Frequencies where the gain polynomial degenerates
     to a nonzero constant contribute no nodes and split branches there.
@@ -189,7 +255,8 @@ def trace(
         raise ValueError("empty beta range")
 
     n_base = max(int(np.ceil((beta_hi - beta_lo) / step)) + 1, 2)
-    base = np.linspace(beta_lo, beta_hi, n_base)
+    B = np.linspace(beta_lo, beta_hi, n_base)  # node frequencies; roots R, NaN past each count K
+    R, K = _solve_nodes(F, B)
 
     if window is not None:
         re_lo, re_hi, im_lo, im_hi = window
@@ -197,8 +264,9 @@ def trace(
         center = complex((re_lo + re_hi) / 2, (im_lo + im_hi) / 2)
         far_cutoff = abs(center) + 2.0 * diag
     else:
-        sample = [r for b in base[:: max(1, n_base // 32)] for r in _solve_nodes(F, b)]
-        finite = np.array([x for x in sample if np.isfinite(x)], dtype=complex)
+        every = max(1, n_base // 32)
+        sample = R[::every][np.arange(R.shape[1]) < K[::every, None]]
+        finite = sample[np.isfinite(sample)]
         if finite.size:
             span = np.ptp(finite.real) + 1j * np.ptp(finite.imag)
             diag = max(float(abs(span)), 1.0)
@@ -208,44 +276,31 @@ def trace(
     refine_tol = refine_frac * diag
     min_step = step / 2.0**_MAX_DEPTH
 
-    solved: List[Tuple[float, np.ndarray]] = [(base[0], _solve_nodes(F, base[0]))]
-    stack = [(base[i], base[i + 1]) for i in range(n_base - 2, -1, -1)]
-    cache = {base[0]: solved[0][1]}
-
-    def needs_split(b0: float, r0: np.ndarray, b1: float, r1: np.ndarray) -> bool:
-        if b1 - b0 <= min_step:
-            return False
-        if len(r0) != len(r1):
-            return True
-        if len(r0) == 0:
-            return False
-        if min(np.min(np.abs(r0)), np.min(np.abs(r1))) > far_cutoff:
-            return False
-        for i, j, d in _greedy_match(r0, r1):
-            if d > refine_tol:
-                return True
-            a, b = r0[i], r1[j]
-            if abs(a) > _POLAR_RADIUS_FLOOR and abs(b) > _POLAR_RADIUS_FLOOR:
-                if abs(np.angle(b / a)) > np.pi / 2:
-                    return True
-        return False
-
-    while stack:
-        b0, b1 = stack.pop()
-        r0 = cache[b0] if b0 in cache else _solve_nodes(F, b0)
-        cache[b0] = r0
-        r1 = cache[b1] if b1 in cache else _solve_nodes(F, b1)
-        cache[b1] = r1
-        if needs_split(b0, r0, b1, r1):
-            mid = 0.5 * (b0 + b1)
-            stack.append((mid, b1))
-            stack.append((b0, mid))
-        else:
-            solved.append((b1, r1))
-        if len(solved) > _MAX_NODES:
+    # Refine level by level: whether an interval splits depends on its two
+    # ends only, so every open interval of a level is decided at once and
+    # the midpoints of those that split are solved in one batch.
+    lo, hi = np.arange(n_base - 1), np.arange(1, n_base)
+    kept = [np.zeros(1, dtype=int)]  # node indices; B[0] closes no interval
+    n_kept = 1
+    while lo.size:
+        if n_kept + lo.size > _MAX_NODES:  # each open interval still adds at least one node
             raise RuntimeError(f"trace exceeded {_MAX_NODES} nodes; increase step or reduce range")
+        split = _needs_split(B[hi] - B[lo], R[lo], K[lo], R[hi], K[hi],
+                             min_step=min_step, far_cutoff=far_cutoff, refine_tol=refine_tol)
+        kept.append(hi[~split])
+        n_kept += kept[-1].size
+        lo, hi = lo[split], hi[split]
+        if not lo.size:
+            break
+        mid = 0.5 * (B[lo] + B[hi])
+        R_mid, K_mid = _solve_nodes(F, mid)
+        m = np.arange(B.size, B.size + mid.size)
+        B, R, K = np.concatenate([B, mid]), np.concatenate([R, R_mid]), np.concatenate([K, K_mid])
+        lo, hi = np.concatenate([lo, m]), np.concatenate([m, hi])
 
-    solved.sort(key=lambda t: t[0])
+    nodes = np.concatenate(kept)
+    nodes = nodes[np.argsort(B[nodes], kind="stable")]
+    solved = [(B[i], R[i, : K[i]]) for i in nodes]
 
     # stitch roots into branches
     open_branches: List[dict] = []

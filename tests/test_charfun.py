@@ -195,6 +195,14 @@ def test_lpoly_consistency():
             assert abs(horner - F.eval(1j * beta, L)) < 1e-10 * max(1.0, abs(horner))
 
 
+
+def test_lpoly_table_rows_match_single_lam():
+    lam = 1j * np.linspace(-4.0, 4.0, 9)
+    for F in SYSTEMS:
+        table = F.lpoly(lam)
+        assert table.shape == (9, F.C.shape[2])
+        assert all(np.array_equal(row, F.lpoly(x)) for row, x in zip(table, lam))
+
 def test_json_roundtrip():
     for F in SYSTEMS:
         doc = json.loads(json.dumps(charfun_to_dict(F)))

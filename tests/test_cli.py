@@ -142,6 +142,37 @@ def test_preset_non_number_param_exit_2_writes_nothing(tmp_path, capsys, tau):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "kernel, field",
+    [
+        (5, "kernel must be a dict"),
+        ({"kind": "dirac", "tau": True}, "kernel field 'tau' must be a finite real number"),
+        ({"kind": "exponential", "T": "x"}, "kernel field 'T' must be a finite real number"),
+        ({"tau": 0.5}, "unknown kernel kind: None"),
+        ({"kind": "gamma", "n": 1.5, "T": 1.0}, "kernel field 'n' must be a positive integer"),
+        ({"kind": "dirac", "tau": 10**400}, "kernel field 'tau' must be a finite real number"),
+    ],
+    ids=["int", "bool-tau", "string-T", "missing-kind", "fractional-n", "huge-tau"],
+)
+def test_preset_bad_kernel_exit_2_writes_nothing(tmp_path, capsys, kernel, field):
+    config = {"preset": "coupling-mode", "params": {"kernel": kernel}, "window": [-1, 1, -1, 1], "resolution": [5, 5]}
+    code, out = run(tmp_path, "numap", config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "preset 'coupling-mode' parameter 'kernel'" in err and field in err
+    assert list(out.iterdir()) == []
+
+
+def test_preset_huge_int_param_exit_2_writes_nothing(tmp_path, capsys):
+    # an integer no float can hold used to escape as an OverflowError (exit 1)
+    config = {"preset": "scalar-discrete", "params": {"a": 1.0, "d": 0.0, "tau": 10**400},
+              "beta": {"lo": -2, "hi": 2, "step": 0.1}}
+    code, out = run(tmp_path, "scc", config)
+    assert code == 2
+    assert "preset 'scalar-discrete' parameter 'tau' must be a finite real number" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_missing_preset_and_system_exit_2(tmp_path):
     code, _ = run(tmp_path, "scc", {"beta": {"lo": 0, "hi": 1, "step": 0.1}})
     assert code == 2

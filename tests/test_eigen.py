@@ -100,3 +100,21 @@ def test_real_spectrum_comes_back_complex():
     ev = eigvals(np.diag([1.0, 2.0, 3.0]))
     assert ev.dtype == complex
     assert np.array_equal(np.sort(ev.real), [1.0, 2.0, 3.0]) and not ev.imag.any()
+
+
+def test_poly_roots_stack_rows():
+    # degrees 0 to 4 after trimming, closed forms and companions mixed in one stack
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
+    deg = np.arange(12) % 5
+    c[np.arange(5) > deg[:, None]] = 0.0
+    c[3, 4] = 1e-20  # trimmed: degree 3
+    roots = poly_roots(c)
+    assert roots.shape == (12, 4)
+    for row, r, d in zip(c, roots, np.where(np.arange(12) == 3, 3, deg)):
+        assert np.isnan(r[d:]).all() and not np.isnan(r[:d]).any()
+        assert np.array_equal(r[:d], poly_roots(row))
+        vals = np.polynomial.polynomial.polyval(r[:d], row)
+        assert np.max(np.abs(vals), initial=0.0) < 1e-8 * np.max(np.abs(row))
+    with pytest.raises(ValueError):
+        poly_roots(np.vstack([c, np.zeros(5)]))

@@ -119,3 +119,12 @@ def test_json_roundtrip(k):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         kernel_from_dict({"kind": "cauchy", "T": 1.0})
+
+
+def test_transform_rounds_scalar_and_array_alike():
+    # the curve tracer tabulates many frequencies at once: each entry must
+    # carry the bits of the transform at that one frequency
+    rng = np.random.default_rng(4)
+    lam = np.concatenate([1j * rng.uniform(-20, 20, 200), rng.normal(size=100) + 5j * rng.normal(size=100)])
+    for k in (Dirac(0.5), Uniform(0.2, 0.8), Gamma(1, 0.5), Gamma(2, 1.5), Gamma(3, 0.7)):
+        assert np.array_equal(laplace(k, lam), [laplace(k, complex(x)) for x in lam])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from delaystab import presets
+from delaystab import presets, scc
 from delaystab.charfun import CharFun, build_charfun
-from delaystab.kernels import Dirac
+from delaystab.kernels import Dirac, Uniform, laplace
 from delaystab.regions import nu_contour
 from delaystab.scc import (
     IdenticallySingularError,
@@ -272,3 +274,285 @@ def test_branch_eval_outside_range(growth_branch):
     _, br = growth_branch
     with pytest.raises(ValueError):
         br.eval(99.0)
+
+
+# --- reference: the depth-first tracer with a scalar solve per frequency ---
+
+
+def _reference_lpoly(F, lam):
+    lam = complex(lam)
+    hh = laplace(F.kernel, lam)
+    out = np.zeros(F.C.shape[2], dtype=complex)
+    out[0] = lam**F.q
+    for k, j in F.support:
+        out -= F.C[k, j] * lam**k * hh**j
+    return out
+
+
+def _reference_poly_roots(c):
+    scale = np.max(np.abs(c))
+    deg = c.size - 1
+    while deg > 0 and abs(c[deg]) <= 1e-14 * scale:
+        deg -= 1
+    c = c[: deg + 1]
+    if deg == 0:
+        return np.zeros(0, dtype=complex)
+    if deg == 1:
+        return np.array([-c[0] / c[1]])
+    if deg == 2:
+        a2, a1, a0 = c[2], c[1], c[0]
+        disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0 + 0.0j)
+        q = -0.5 * (a1 + disc) if abs(a1 + disc) >= abs(a1 - disc) else -0.5 * (a1 - disc)
+        return np.zeros(2, dtype=complex) if q == 0.0 else np.array([q / a2, a0 / q])
+    comp = np.zeros((deg, deg), dtype=complex)
+    comp[np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    comp[:, deg - 1] = -(c / c[deg])[:deg]
+    return np.linalg.eigvals(comp)
+
+
+def _reference_newton_polish(coeffs, L):
+    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
+
+    def horner(c, x):
+        acc = 0.0 + 0.0j
+        for ci in c[::-1]:
+            acc = acc * x + ci
+        return acc
+
+    for _ in range(12):
+        g = horner(coeffs, L)
+        if abs(g) <= 1e-13 * max(1.0, abs(L)):
+            break
+        gp = horner(dcoeffs, L)
+        if gp == 0.0:
+            break
+        L = L - g / gp
+    return L
+
+
+def _reference_solve_nodes(F, beta):
+    coeffs = _reference_lpoly(F, 1j * beta)
+    scale = np.max(np.abs(coeffs))
+    if scale == 0.0 or not np.isfinite(scale):
+        raise IdenticallySingularError(f"identically singular at beta={beta}")
+    return np.array([_reference_newton_polish(coeffs, r) for r in _reference_poly_roots(coeffs)], dtype=complex)
+
+
+def _reference_needs_split(b0, r0, b1, r1, min_step, far_cutoff, refine_tol):
+    if b1 - b0 <= min_step:
+        return False
+    if len(r0) != len(r1):
+        return True
+    if len(r0) == 0:
+        return False
+    if min(np.min(np.abs(r0)), np.min(np.abs(r1))) > far_cutoff:
+        return False
+    for i, j, d in scc._greedy_match(r0, r1):
+        if d > refine_tol:
+            return True
+        a, b = r0[i], r1[j]
+        if abs(a) > scc._POLAR_RADIUS_FLOOR and abs(b) > scc._POLAR_RADIUS_FLOOR:
+            if abs(np.angle(b / a)) > np.pi / 2:
+                return True
+    return False
+
+
+def _reference_trace(F, beta_lo, beta_hi, step, *, window=None, refine_frac=0.02):
+    n_base = max(int(np.ceil((beta_hi - beta_lo) / step)) + 1, 2)
+    base = np.linspace(beta_lo, beta_hi, n_base)
+    if window is not None:
+        re_lo, re_hi, im_lo, im_hi = window
+        diag = float(np.hypot(re_hi - re_lo, im_hi - im_lo))
+        far_cutoff = abs(complex((re_lo + re_hi) / 2, (im_lo + im_hi) / 2)) + 2.0 * diag
+    else:
+        sample = [r for b in base[:: max(1, n_base // 32)] for r in _reference_solve_nodes(F, b)]
+        finite = np.array([x for x in sample if np.isfinite(x)], dtype=complex)
+        if finite.size:
+            diag = max(float(abs(np.ptp(finite.real) + 1j * np.ptp(finite.imag))), 1.0)
+            far_cutoff = float(np.max(np.abs(finite))) + 2.0 * diag
+        else:
+            diag, far_cutoff = 1.0, 10.0
+    refine_tol = refine_frac * diag
+    min_step = step / 2.0**scc._MAX_DEPTH
+
+    solved = [(base[0], _reference_solve_nodes(F, base[0]))]
+    stack = [(base[i], base[i + 1]) for i in range(n_base - 2, -1, -1)]
+    cache = {base[0]: solved[0][1]}
+    while stack:
+        b0, b1 = stack.pop()
+        r0 = cache[b0] if b0 in cache else _reference_solve_nodes(F, b0)
+        cache[b0] = r0
+        r1 = cache[b1] if b1 in cache else _reference_solve_nodes(F, b1)
+        cache[b1] = r1
+        if _reference_needs_split(b0, r0, b1, r1, min_step, far_cutoff, refine_tol):
+            mid = 0.5 * (b0 + b1)
+            stack.append((mid, b1))
+            stack.append((b0, mid))
+        else:
+            solved.append((b1, r1))
+        if len(solved) > scc._MAX_NODES:
+            raise RuntimeError(f"trace exceeded {scc._MAX_NODES} nodes")
+    solved.sort(key=lambda t: t[0])
+
+    open_branches, done, next_slot = [], [], 0
+    for b, roots in solved:
+        if len(roots) == 0:
+            done.extend(open_branches)
+            open_branches = []
+            continue
+        if not open_branches:
+            for r in roots:
+                open_branches.append({"beta": [b], "L": [r], "slot": next_slot})
+                next_slot += 1
+            continue
+        heads = np.array([br["L"][-1] for br in open_branches])
+        matched_i, matched_j, survivors = set(), set(), []
+        for i, j, d in scc._greedy_match(heads, roots):
+            br = open_branches[i]
+            motion = abs(br["L"][-1] - br["L"][-2]) if len(br["L"]) >= 2 else refine_tol
+            if d > 10.0 * max(motion, refine_tol * 0.1):
+                continue
+            lo_mag = min(abs(heads[i]), abs(roots[j]))
+            if lo_mag > far_cutoff and d > 0.5 * lo_mag:
+                continue
+            br["beta"].append(b)
+            br["L"].append(roots[j])
+            matched_i.add(i)
+            matched_j.add(j)
+            survivors.append(br)
+        done.extend(br for i, br in enumerate(open_branches) if i not in matched_i)
+        open_branches = survivors
+        for j, r in enumerate(roots):
+            if j not in matched_j:
+                open_branches.append({"beta": [b], "L": [r], "slot": next_slot})
+                next_slot += 1
+    done.extend(open_branches)
+    branches = [scc._finalize_branch(F, br) for br in done if len(br["beta"]) >= 2]
+    branches.sort(key=lambda br: (br.beta[0], br.root_index))
+    return branches
+
+
+def _region_maps_system(kind, **p):
+    if kind == "discrete":
+        return presets.scalar_discrete(p["a"], p["d"], p["tau"])
+    if kind == "drift-difference":
+        return presets.drift_difference_coupling()
+    return presets.scalar_gamma(p["a"], p["n"], p["T"])
+
+
+def _first_covering_range(window):
+    """The first beta half-range regions.trace_covering tries for a window."""
+    re_lo, re_hi, im_lo, im_hi = window
+    outer = max(abs(complex(re, im)) for re in (re_lo, re_hi) for im in (im_lo, im_hi))
+    return max(4.0, 2.0 * (1.5 * outer + 1.0))
+
+
+# (name, system, window, step, refine_frac)
+_PARITY_CASES = [
+    ("growth-feedback", ("discrete", dict(a=1.0, d=0.0, tau=0.5)), (-4.0, 4.0, -4.0, 4.0), 0.05, 0.02),
+    ("drift-difference", ("drift-difference", {}), (-1.0, 1.0, -1.0, 1.0), 0.05, 0.02),
+    ("point-delay-atau<1", ("discrete", dict(a=1.0, d=0.0, tau=0.5)), (-3.5, 0.5, -2.0, 2.0), 0.05, 0.02),
+    ("point-delay-atau>1", ("discrete", dict(a=1.0, d=0.0, tau=1.5)), (-3.0, 3.0, -3.0, 3.0), 0.05, 0.02),
+    ("gamma-n1-aT<1", ("gamma", dict(a=1.0, n=1, T=0.5)), (-6.0, 2.0, -4.0, 4.0), 0.05, 0.02),
+    ("gamma-n1-aT>1", ("gamma", dict(a=1.0, n=1, T=1.5)), (-4.0, 4.0, -4.0, 4.0), 0.05, 0.02),
+    ("gamma-n2-aT<1", ("gamma", dict(a=1.0, n=2, T=0.5)), (-7.0, 3.0, -5.0, 5.0), 0.05, 0.02),
+    ("gamma-n2-aT>1", ("gamma", dict(a=1.0, n=2, T=1.5)), (-4.0, 4.0, -4.0, 4.0), 0.05, 0.02),
+    ("rotated-point-delay", ("discrete", dict(a=1.0, d=2.5, tau=0.5)), (-3.5, 3.5, -3.5, 3.5), 0.05, 0.02),
+    ("pd-agent-T0.05", ("pd", dict(T=0.05)), (-6.0, 1.0, -3.0, 3.0), 0.01, 0.002),
+    ("pd-agent-T0.3", ("pd", dict(T=0.3)), (-6.0, 1.0, -3.0, 3.0), 0.01, 0.002),
+    ("pd-agent-T0.6", ("pd", dict(T=0.6)), (-6.0, 1.0, -3.0, 3.0), 0.01, 0.002),
+    # L-degree 2: the closed-form quadratic
+    ("dirac-2x2", ("matrix", dict(Q=[[[0.0, 1.0], 1.0], [-0.5, [0.2, 0.0]]],
+                                  B=[[0.0, 0.0], [[0.3, 0.5], [0.0, 1.0]]], kernel=Dirac(0.7))),
+     (-3.0, 3.0, -3.0, 3.0), 0.05, 0.02),
+    # L-degree 3: stacked companion matrices
+    ("uniform-3x3", ("matrix", dict(Q=[[[-0.5, 1.0], 1.0, 0.0], [0.0, [-1.0, 0.5], 1.0], [-0.2, 0.0, [-1.5, 0.25]]],
+                                    B=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.4, 0.0, 0.0]], kernel=Uniform(0.2, 0.8))),
+     (-3.0, 3.0, -3.0, 3.0), 0.05, 0.02),
+]
+
+
+def _parity_charfun(kind, p):
+    if kind == "pd":
+        return presets.pd_agent_mode(1.0, 1.0, 1.0, 1.1, p["T"])
+    if kind == "matrix":
+        return build_charfun(p["Q"], p["B"], p["kernel"])
+    return _region_maps_system(kind, **p)
+
+
+def _assert_same_trace(got, want):
+    # the batch keeps each node's scalar arithmetic, so the gains match bit for bit
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.beta, w.beta)
+        assert g.root_index == w.root_index
+        assert g.L.tobytes() == w.L.tobytes()
+
+
+@pytest.mark.parametrize("case", _PARITY_CASES, ids=[c[0] for c in _PARITY_CASES])
+def test_trace_matches_depth_first_reference(case):
+    _, (kind, p), window, step, refine_frac = case
+    F = _parity_charfun(kind, p)
+    b = _first_covering_range(window)
+    got = trace(F, -b, b, step, window=window, refine_frac=refine_frac)
+    _assert_same_trace(got, _reference_trace(F, -b, b, step, window=window, refine_frac=refine_frac))
+
+
+def test_trace_without_window_matches_reference():
+    F = presets.scalar_discrete(1.0, 0.0, 1.5)
+    _assert_same_trace(trace(F, -8.0, 8.0, 0.05), _reference_trace(F, -8.0, 8.0, 0.05))
+
+
+def test_node_cap_matches_reference(monkeypatch):
+    F = presets.scalar_discrete(1.0, 0.0, 1.5)
+    window = (-3.0, 3.0, -3.0, 3.0)
+    n_nodes = sum(len(br) for br in trace(F, -8.0, 8.0, 0.05, window=window))
+    monkeypatch.setattr(scc, "_MAX_NODES", n_nodes)
+    assert len(trace(F, -8.0, 8.0, 0.05, window=window)) == len(_reference_trace(F, -8.0, 8.0, 0.05, window=window))
+    monkeypatch.setattr(scc, "_MAX_NODES", n_nodes - 1)
+    for tracer in (trace, _reference_trace):
+        with pytest.raises(RuntimeError):
+            tracer(F, -8.0, 8.0, 0.05, window=window)
+
+
+# half-unit lattice points: exact ties between distances and duplicate points
+_lattice = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+_point = st.builds(complex, _lattice, _lattice)
+
+
+def _padded(rows, n=4):
+    out = np.full((len(rows), n), np.nan, dtype=complex)
+    for r, pts in enumerate(rows):
+        out[r, : len(pts)] = pts
+    return out, np.array([len(pts) for pts in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 4).flatmap(lambda k: st.tuples(st.lists(_point, min_size=k, max_size=k),
+                                                               st.lists(_point, min_size=k, max_size=k))),
+                min_size=1, max_size=5))
+def test_vectorized_greedy_match_equals_scalar(sets):
+    p, k = _padded([a for a, _ in sets])
+    q, _ = _padded([b for _, b in sets])
+    I, J, D = scc._greedy_match_rows(p, q, k)
+    for r, (a, b) in enumerate(sets):
+        want = scc._greedy_match(np.array(a), np.array(b))
+        assert [(i, j) for i, j, _ in want] == list(zip(I[r, : k[r]].tolist(), J[r, : k[r]].tolist()))
+        assert [d for _, _, d in want] == D[r, : k[r]].tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4).flatmap(lambda k: st.tuples(
+           st.lists(_point, min_size=k, max_size=k),
+           st.one_of(st.lists(_point, min_size=k, max_size=k), st.lists(_point, max_size=4)),  # mostly equal counts
+           st.sampled_from([0.5, 1.0, 2.0]))), min_size=1, max_size=5),
+       st.sampled_from([0.5, 1.0, 1.6, 3.0]), st.sampled_from([0.4, 0.5, 1.2, 3.0]))  # 3 exceeds every distance
+def test_vectorized_split_equals_scalar(intervals, far_cutoff, refine_tol):
+    min_step = 1e-3
+    r0, k0 = _padded([a for a, _, _ in intervals])
+    r1, k1 = _padded([b for _, b, _ in intervals])
+    width = np.array([w * min_step for _, _, w in intervals])
+    got = scc._needs_split(width, r0, k0, r1, k1, min_step=min_step, far_cutoff=far_cutoff, refine_tol=refine_tol)
+    want = [_reference_needs_split(0.0, np.array(a, dtype=complex), w * min_step, np.array(b, dtype=complex),
+                                   min_step, far_cutoff, refine_tol) for a, b, w in intervals]
+    assert got.tolist() == want
