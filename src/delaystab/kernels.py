@@ -141,7 +141,10 @@ def laplace(kernel: DelayKernel, lam):
 
 def laplace_derivative(kernel: DelayKernel, lam):
     """d/dlam of the transform, in closed form per family."""
-    lam = np.asarray(lam, dtype=complex)
+    # a scalar goes through the array loops too: numpy multiplies two complex
+    # scalars with rounding that can differ from its array loop
+    scalar = np.ndim(lam) == 0
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     if isinstance(kernel, Dirac):
         out = -kernel.tau * np.exp(-lam * kernel.tau)
     elif isinstance(kernel, Uniform):
@@ -154,7 +157,7 @@ def laplace_derivative(kernel: DelayKernel, lam):
         out = -kernel.T * base ** (-kernel.n - 1)
     else:
         raise TypeError(f"not a delay kernel: {kernel!r}")
-    return out[()] if out.ndim == 0 else out
+    return out[0] if scalar else out
 
 
 def kernel_to_dict(kernel: DelayKernel) -> dict:

@@ -254,7 +254,10 @@ def trace(
     if beta_hi <= beta_lo:
         raise ValueError("empty beta range")
 
-    n_base = max(int(np.ceil((beta_hi - beta_lo) / step)) + 1, 2)
+    n_base = max(np.ceil((beta_hi - beta_lo) / step) + 1, 2)  # a float: inf when (hi - lo) / step overflows
+    if n_base > _MAX_NODES:  # the first level keeps every base node; check before allocating them
+        raise RuntimeError(f"trace exceeded {_MAX_NODES} nodes; increase step or reduce range")
+    n_base = int(n_base)
     B = np.linspace(beta_lo, beta_hi, n_base)  # node frequencies; roots R, NaN past each count K
     R, K = _solve_nodes(F, B)
 

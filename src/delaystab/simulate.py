@@ -744,7 +744,7 @@ def simulate_oa(
             return np.array([[dr(r, eta, Lt), (r - eta) / T]])
 
     else:
-        raise TypeError("order-parameter dynamics needs a Dirac or exponential kernel")
+        raise ValueError("order-parameter dynamics needs a Dirac or exponential kernel")
     # the feedback is off until the step that starts at control_on
     f, switch = (rhs, None) if control_on is None else (partial(rhs, Lt=0j), (control_on, rhs))
     states, blow = _rk4(f, y0, dt, _n_steps(cfg.horizon, dt), 10.0, lambda y: y[:, 0], delay, switch)

@@ -1,10 +1,17 @@
+import copy
 import csv
 import json
+import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from delaystab import cli
+from delaystab import io as dio
 from delaystab.cli import main
 
 
@@ -338,3 +345,166 @@ def test_reproduce_fig16_small(tmp_path):
 def test_cli_rejects_unknown_figure(tmp_path):
     code, _ = run(tmp_path, "reproduce", {"figure": "fig99"})
     assert code == 2
+
+
+# --- one schema per variant: every bad value exits 2 before any computation ---
+
+def write_literal(path, config):
+    """Write ``config`` as JSON, the string "1e400" as that literal: the parser reads it as inf."""
+    path.write_text(json.dumps(config).replace('"1e400"', "1e400"))
+
+
+def run_literal(tmp_path, command, config):
+    cfg_path = tmp_path / "cfg.json"
+    write_literal(cfg_path, config)
+    out = tmp_path / "out"
+    return main([command, "--config", str(cfg_path), "--out", str(out)]), out
+
+
+def assert_rejected(tmp_path, code, out):
+    assert code == 2
+    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]  # no temp dir left behind
+
+
+_SD = {"a": 1.0, "d": 0.0, "L": [-1.5, 0.0], "tau": 0.5}
+_KURAMOTO = {"N": 40, "K": 4.0, "C": -4.0, "S": 1.0, "d": 0.0, "delays": {"kind": "exponential", "value": 0.4},
+             "control_on": 2.0}
+_SIM = {"dt": 0.01, "horizon": 20.0, "history": {"kind": "uniform", "seed": 3, "amplitude": 0.5},
+        "rate_window_fraction": 0.5, "rate_tol": 0.01}
+
+# one valid config per variant, with every optional field set
+VALID = {
+    ("simulate", "scalar-discrete"): {"model": "scalar-discrete", "params": _SD, "sim": _SIM},
+    ("simulate", "scalar-gamma"): {"model": "scalar-gamma", "params": {"a": 1.0, "L": [-1.5, 0.5], "n": 2, "T": 0.3},
+                                   "sim": _SIM},
+    ("simulate", "carfollowing"): {"model": "carfollowing", "sim": _SIM, "params": {
+        "network": {"kind": "ring", "n": 5, "alpha": 1.0}, "n": 1, "T": 0.5}},
+    ("simulate", "mas"): {"model": "mas", "sim": _SIM, "params": {
+        "a": 1.0, "b": 1.0, "k1": 1.0, "k2": 1.1, "T": 0.05,
+        "network": {"kind": "random", "n": 20, "R": 2.0, "alpha": 0.05, "seed": 4}}},
+    ("simulate", "kuramoto"): {"model": "kuramoto", "params": _KURAMOTO, "sim": _SIM, "seed": 9},
+    ("simulate", "oa"): {"model": "oa", "sim": _SIM, "params": {
+        "K": 4.0, "d": 0.0, "L": [-8.0, 1.0], "kernel": {"kind": "exponential", "T": 0.5}, "r0": [0.1, 0.0],
+        "control_on": 5.0}},
+    ("reproduce", "fig7-heat"): {"figure": "fig7-heat", "grid": [5, 5], "horizon": 20.0, "d": 0.5},
+    ("reproduce", "fig9-heat"): {"figure": "fig9-heat", "grid": [5, 5], "horizon": 20.0},
+    ("reproduce", "fig12-heat"): {"figure": "fig12-heat", "grid": [3, 3], "horizon": 20.0, "n": 1, "N": 5},
+    ("reproduce", "fig15-heat"): {"figure": "fig15-heat", "grid": [3, 3], "horizon": 20.0, "R": 2.0, "N": 6,
+                                  "seeds": 1},
+    ("reproduce", "fig16-series"): {"figure": "fig16-series", "case": "b", "N": 40, "horizon": 12.0, "seeds": 5},
+    ("critical", "carfollowing"): {"which": "carfollowing", "n": 2, "N": 5, "alpha": 1.0},
+    ("critical", "chain"): {"which": "chain", "n": 2, "alpha": 0.7},
+    ("critical", "mas"): {"which": "mas", "a": 1, "b": 1, "k1": 1, "k2": 1.1},
+    ("critical", "alpha_c"): {"which": "alpha_c", "a": 1, "b": 1, "k1": 1, "k2": 1.1, "T": 0.05, "R": 2.0, "N": 50},
+}
+
+
+def test_every_variant_has_a_valid_config_that_validates():
+    assert {v for _, v in VALID} == set(cli._SIMULATE) | set(cli._REPRODUCE) | set(cli._CRITICAL)
+    for (command, _), config in VALID.items():
+        cli._validate(command, config, cli._COMMANDS[command][0])
+
+
+def test_schemas_are_valid_json_schemas():
+    for schema, _ in cli._COMMANDS.values():
+        cli._Validator.check_schema(schema)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", {"model": "scalar-discrete", "params": {**_SD, "a": "x"}}),
+    ("simulate", {"model": "scalar-discrete", "params": {**_SD, "a": True}}),
+    ("simulate", {"model": "scalar-discrete", "params": {**_SD, "L": [1]}}),
+    ("simulate", {"model": "scalar-discrete", "params": {**_SD, "bogus": 1}}),
+    ("simulate", {"model": "mas", "params": {"a": 1, "b": 1, "k1": 1, "k2": 1.1, "T": 0.1,
+                                             "network": {"kind": "ring", "n": 5.7, "alpha": 1.0}}}),
+    ("simulate", {"model": "kuramoto", "params": {**_KURAMOTO, "delays": {"kind": "constant", "value": -1}}}),
+    ("reproduce", {"figure": "fig7-heat", "grid": [0, 0]}),
+    ("reproduce", {"figure": "fig15-heat", "seeds": 0}),
+    ("reproduce", {"figure": "fig7-heat", "horizon": -1}),
+    ("reproduce", {"figure": "fig12-heat", "n": 0}),
+    ("reproduce", {"figure": "fig16-series", "N": 1}),
+    ("critical", {"which": "carfollowing", "n": 2, "N": 5, "alpha": "1e400"}),
+    ("critical", {"which": "mas", "a": float("nan"), "b": 1, "k1": 1, "k2": 1.1}),
+    ("critical", {"which": "mas", "a": 1, "b": 1, "k1": 1, "k2": 1.1, "N": 5}),
+], ids=["string", "bool", "short-pair", "unknown-param", "fractional-ring", "negative-delay", "zero-grid",
+        "zero-seeds", "negative-horizon", "zero-n", "one-oscillator", "1e400", "NaN", "stray-N"])
+def test_bad_variant_value_exit_2_writes_nothing(tmp_path, command, config):
+    assert_rejected(tmp_path, *run_literal(tmp_path, command, config))
+
+
+def _fields(config):
+    """Paths of the fields a variant config sets, the discriminator aside."""
+    paths = [(k,) for k in config if k not in ("model", "figure", "which")]
+    for block in ("params", "sim"):
+        paths += [(block, k) for k in config.get(block, {})]
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_bad_field_exit_2_writes_nothing(tmp_path_factory, data):
+    (command, _), config = data.draw(st.sampled_from(sorted(VALID.items())))
+    path = data.draw(st.sampled_from(_fields(config)))
+    value = data.draw(st.sampled_from(["x", True, False, None, [], [1.0], "1e400"]))
+    config = copy.deepcopy(config)
+    parent = config
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    tmp_path = tmp_path_factory.mktemp("bad_field")
+    assert_rejected(tmp_path, *run_literal(tmp_path, command, config))
+
+
+def test_readme_examples_validate():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    configs = {name: json.loads(body) for body, name in re.findall(r"echo '(\{.*?\})' > (\S+)", text, re.S)}
+    runs = re.findall(r"delaystab (\w+) --config (\S+)", text)
+    assert len(runs) >= 5 and {name for _, name in runs} == set(configs)
+    for command, name in runs:
+        cli._validate(command, configs[name], cli._COMMANDS[command][0])
+
+
+def test_blown_up_rate_json_is_strict_json(tmp_path):
+    def no_constant(name):
+        raise ValueError(f"bare {name}")
+
+    cfg = {"model": "scalar-discrete", "params": {**_SD, "L": [5, 0]}, "sim": {"dt": 0.01, "horizon": 20.0}}
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 0
+    rate = json.loads((out / "rate.json").read_text(), parse_constant=no_constant)
+    assert rate == {"rate": "inf", "r_squared": 1.0, "verdict": "diverging", "note": "blow_up"}
+
+
+def test_simulate_oa_uniform_kernel_exit_2_writes_nothing(tmp_path, capsys):
+    params = {"K": 4.0, "d": 0.0, "L": [-1.0, 0.0], "kernel": {"kind": "uniform", "a": 0.1, "A": 0.5}}
+    code, out = run(tmp_path, "simulate", {"model": "oa", "params": params})
+    assert code == 2
+    assert "needs a Dirac or exponential kernel" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_numap_tiny_beta_step_exit_1_writes_nothing(tmp_path, capsys):
+    config = {"preset": "growth-feedback", "window": [-1, 1, -1, 1], "resolution": [5, 5],
+              "beta": {"lo": -2, "hi": 2, "step": 1e-300}}
+    code, out = run(tmp_path, "numap", config)
+    assert code == 1
+    assert "trace exceeded" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_failed_write_leaves_out_empty(tmp_path, monkeypatch):
+    # fig12 writes rates.csv, then analytic_Tc.csv: fail the second
+    config = {"figure": "fig12-heat", "grid": [2, 2], "horizon": 5.0, "N": 5}
+    code, out = run(tmp_path, "reproduce", config, name="ok.json")
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["analytic_Tc.csv", "manifest.json", "rates.csv"]
+
+    def disk_full(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(dio, "write_columns_csv", disk_full)
+    code, out = run(tmp_path, "reproduce", config)
+    assert code == 1
+    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ok.json", "out_cfg.json", "out_ok.json"]

@@ -128,3 +128,4 @@ def test_transform_rounds_scalar_and_array_alike():
     lam = np.concatenate([1j * rng.uniform(-20, 20, 200), rng.normal(size=100) + 5j * rng.normal(size=100)])
     for k in (Dirac(0.5), Uniform(0.2, 0.8), Gamma(1, 0.5), Gamma(2, 1.5), Gamma(3, 0.7)):
         assert np.array_equal(laplace(k, lam), [laplace(k, complex(x)) for x in lam])
+        assert np.array_equal(laplace_derivative(k, lam), [laplace_derivative(k, complex(x)) for x in lam])

@@ -515,6 +515,17 @@ def test_node_cap_matches_reference(monkeypatch):
             tracer(F, -8.0, 8.0, 0.05, window=window)
 
 
+@pytest.mark.parametrize("step", [1e-7, 1e-300, 1e-320])
+def test_node_cap_checked_before_the_base_grid(monkeypatch, step):
+    # 1e-7 would allocate gigabytes first; 1e-300 overflows numpy's array size and 1e-320 the node count itself
+    def no_solve(*args):
+        raise AssertionError("the base grid was solved")
+
+    monkeypatch.setattr(scc, "_solve_nodes", no_solve)
+    with pytest.raises(RuntimeError, match="trace exceeded"):
+        trace(presets.growth_with_feedback(), -2.0, 2.0, step)
+
+
 # half-unit lattice points: exact ties between distances and duplicate points
 _lattice = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
 _point = st.builds(complex, _lattice, _lattice)
