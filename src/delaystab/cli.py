@@ -412,11 +412,15 @@ def _dispatch(key: str, table: dict):
     Past the schema, a model or closed form raises ValueError or
     ZeroDivisionError only for a value outside its domain (a network or
     kernel out of range, b = 0, an unstable anchor, a horizon too short
-    for the rate fit), so those reject the config too.
+    for the rate fit), so those reject the config too.  numpy's
+    LinAlgError is a ValueError too, but a failed eigen-solve is a
+    numerical failure, not a bad config.
     """
     def build(config, out, args):
         try:
             return table[config[key]][1](config, out, args)
+        except np.linalg.LinAlgError:
+            raise
         except (ValueError, ZeroDivisionError) as e:
             raise ConfigError(f"{key} {config[key]!r}: {type(e).__name__}: {e}") from None
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import presets
 from .eigen import eigvals
-from .kernels import Gamma
+from .kernels import Gamma, _finite_real
 from .regions import Membership, OnSccError, membership, nu_contour
 
 __all__ = [
@@ -65,9 +65,9 @@ class Ring:
     alpha: float
 
     def __post_init__(self):
-        if self.N < 2:
+        if not self.N >= 2:
             raise ValueError("ring needs at least two agents")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("coupling gain must be positive")
 
 
@@ -79,9 +79,9 @@ class Chain:
     alpha: float
 
     def __post_init__(self):
-        if self.N < 2:
+        if not self.N >= 2:
             raise ValueError("chain needs at least two agents")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("coupling gain must be positive")
 
 
@@ -97,7 +97,7 @@ class Laplacian:
             raise ValueError("weights must be square")
         if np.any(np.diag(W) != 0.0):
             raise ValueError("weights must have a zero diagonal; row sums are set internally")
-        if np.any(W < 0.0):
+        if not np.all(W >= 0.0):
             raise ValueError("weights must be nonnegative")
 
 
@@ -111,12 +111,14 @@ class RandomNet:
     seed: int
 
     def __post_init__(self):
-        if self.N < 1:
+        if not self.N >= 1:
             raise ValueError("network size must be positive")
-        if self.R <= 0:
+        if not self.R > 0:
             raise ValueError("self-feedback strength must be positive")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("noise strength must be nonnegative")
+        if not self.seed >= 0:
+            raise ValueError("seed must be nonnegative")
 
 
 NetworkSpec = Union[Ring, Chain, Laplacian, RandomNet]
@@ -378,14 +380,38 @@ def network_to_dict(net: NetworkSpec) -> dict:
     raise TypeError(f"not a network spec: {net!r}")
 
 
+def _integral(v) -> bool:
+    return _finite_real(v) and float(v).is_integer()
+
+
+def _weights(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(isinstance(row, (list, tuple)) and all(map(_finite_real, row)) for row in v)
+
+
+# each kind's fields with their checks, and its builder
+_FROM_DICT = {
+    "ring": ({"n": _integral, "alpha": _finite_real}, lambda d: Ring(N=int(d["n"]), alpha=float(d["alpha"]))),
+    "chain": ({"n": _integral, "alpha": _finite_real}, lambda d: Chain(N=int(d["n"]), alpha=float(d["alpha"]))),
+    "laplacian": ({"weights": _weights}, lambda d: Laplacian(weights=tuple(tuple(row) for row in d["weights"]))),
+    "random": ({"n": _integral, "R": _finite_real, "alpha": _finite_real, "seed": _integral},
+               lambda d: RandomNet(N=int(d["n"]), R=float(d["R"]), alpha=float(d["alpha"]), seed=int(d["seed"]))),
+}
+
+
 def network_from_dict(d: dict) -> NetworkSpec:
-    kind = d.get("kind")
-    if kind == "ring":
-        return Ring(N=int(d["n"]), alpha=float(d["alpha"]))
-    if kind == "chain":
-        return Chain(N=int(d["n"]), alpha=float(d["alpha"]))
-    if kind == "laplacian":
-        return Laplacian(weights=tuple(tuple(row) for row in d["weights"]))
-    if kind == "random":
-        return RandomNet(N=int(d["n"]), R=float(d["R"]), alpha=float(d["alpha"]), seed=int(d["seed"]))
-    raise ValueError(f"unknown network kind: {kind!r}")
+    """Build a network from its dict form, ``{"kind": ..., <exactly the fields of that kind>}``.
+
+    Counts and seeds must be whole numbers, the other fields finite real
+    numbers (a Laplacian's weights: lists of them), and none may be a bool;
+    anything else raises ValueError.
+    """
+    if not isinstance(d, dict) or d.get("kind") not in _FROM_DICT:
+        raise ValueError(f"network must be a dict with a kind in {sorted(_FROM_DICT)}, got {d!r}")
+    fields, build = _FROM_DICT[d["kind"]]
+    missing, extra = sorted(set(fields) - set(d)), sorted(set(d) - set(fields) - {"kind"})
+    if missing or extra:
+        raise ValueError(f"{d['kind']} network takes fields {list(fields)}; missing {missing}, unknown {extra}")
+    for k, ok in fields.items():
+        if not ok(d[k]):
+            raise ValueError(f"{d['kind']} network field {k!r} is not a valid value: {d[k]!r}")
+    return build(d)

@@ -19,6 +19,11 @@ and the midpoints of the intervals that split form the next batch.  At
 most ``_MAX_DEPTH`` + 1 levels run.  The accepted nodes are those of a
 depth-first bisection, and the batch keeps each node's scalar arithmetic,
 so the traced gains do not depend on how the nodes were grouped.
+
+Stitching takes the whole node table at once: one greedy match of every
+node's roots with the next node's (exact ties go to the lower root index
+of the earlier node), array tests of the links, and pointer doubling
+along the chains of matched roots.
 """
 
 from __future__ import annotations
@@ -169,33 +174,19 @@ def _solve_nodes(F: CharFun, betas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     return _newton_polish(coeffs, roots), np.sum(~np.isnan(roots), axis=1)
 
 
-def _greedy_match(prev: np.ndarray, new: np.ndarray) -> List[Tuple[int, int, float]]:
-    """Minimal-distance greedy assignment between two small point sets."""
-    pairs = sorted(
-        ((abs(p - q), i, j) for i, p in enumerate(prev) for j, q in enumerate(new)),
-        key=lambda t: t[0],
-    )
-    used_i, used_j, out = set(), set(), []
-    for d, i, j in pairs:
-        if i in used_i or j in used_j:
-            continue
-        used_i.add(i)
-        used_j.add(j)
-        out.append((i, j, d))
-    return out
-
-
-def _greedy_match_rows(p: np.ndarray, q: np.ndarray, k: np.ndarray):
-    """``_greedy_match`` of p[r, :k[r]] against q[r, :k[r]] for every row r at once.
+def _greedy_match_rows(p: np.ndarray, q: np.ndarray, kp: np.ndarray, kq: np.ndarray):
+    """Greedy minimal-distance matching of p[r, :kp[r]] with q[r, :kq[r]] for every row r at once.
 
     Returns the index arrays I, J and distances D, each (m, n): column s of
-    row r is the s-th pair the greedy picks, valid for s < k[r].  Each pick
-    is the flat row-major argmin of the distance table with used rows and
-    columns masked, which breaks ties as the stable sort does.
+    row r is the s-th pair the greedy picks, valid for s < min(kp[r], kq[r]).
+    Each pick is the flat row-major argmin of the distance table with used
+    rows and columns masked, so exact ties go to the lowest p index, then
+    the lowest q index.
     """
     m, n = p.shape
-    valid = np.arange(n) < k[:, None]
-    dist = np.where(valid[:, :, None] & valid[:, None, :], _cabs(p[:, :, None] - q[:, None, :]), np.inf)
+    cols = np.arange(n)
+    dist = np.where((cols < kp[:, None])[:, :, None] & (cols < kq[:, None])[:, None, :],
+                    _cabs(p[:, :, None] - q[:, None, :]), np.inf)
     I, J, D = (np.zeros((m, n), dtype=t) for t in (int, int, float))
     rows = np.arange(m)
     for s in range(n):
@@ -219,7 +210,7 @@ def _needs_split(width, r0, k0, r1, k1, *, min_step, far_cutoff, refine_tol) -> 
     nearest = np.minimum(np.where(inside, np.abs(r0), np.inf).min(axis=1, initial=np.inf),
                          np.where(inside, np.abs(r1), np.inf).min(axis=1, initial=np.inf))
     check = np.flatnonzero((k0 == k1) & (k0 > 0) & ~(nearest > far_cutoff))
-    I, J, D = _greedy_match_rows(r0[check], r1[check], k0[check])
+    I, J, D = _greedy_match_rows(r0[check], r1[check], k0[check], k0[check])
     a = np.take_along_axis(r0[check], I, axis=1)
     b = np.take_along_axis(r1[check], J, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -228,6 +219,58 @@ def _needs_split(width, r0, k0, r1, k1, *, min_step, far_cutoff, refine_tol) -> 
     split = k0 != k1
     split[check] = moved.any(axis=1)
     return split & (width > min_step)
+
+
+def _stitch(B: np.ndarray, R: np.ndarray, K: np.ndarray, *, far_cutoff: float, refine_tol: float) -> List[dict]:
+    """Join the roots of the beta-sorted nodes (B, R, K) into the raw branches of two or more nodes.
+
+    The roots of each node are greedily matched with those of the next.  A
+    link is rejected when it moves more than ten times the branch's previous
+    step (at least 0.1 ``refine_tol``; ``refine_tol`` after a start), or
+    when it is a far-field jump comparable to |L| itself: a pass through
+    infinity (a pole of the curve), across which chords would cut through
+    the window.  A root with no accepted incoming link starts a branch, and
+    branches are numbered in (node, root) order of their starts, which is
+    also the order of their first betas.
+    """
+    m, n = R.shape
+    I, J, D = _greedy_match_rows(R[:-1], R[1:], K[:-1], K[1:])
+    t, s = np.nonzero(np.arange(n) < np.minimum(K[:-1], K[1:])[:, None])
+    src, dst, d = t * n + I[t, s], (t + 1) * n + J[t, s], D[t, s]  # links between flat root indices
+    flat = R.ravel()
+    lo_mag = np.minimum(_cabs(flat[src]), _cabs(flat[dst]))
+    near = ~((lo_mag > far_cutoff) & (d > 0.5 * lo_mag))
+
+    # A link is accepted by f(x) = x ? g1 : g0, where x tells whether the link
+    # into its first root was accepted.  Compose the f along each chain of links
+    # by pointer doubling: (g0, g1) becomes the composition from the chain's
+    # start, whose x is False.
+    into = np.full(m * n, -1)
+    into[dst] = np.arange(d.size)
+    up = into[src]
+    motion = np.where(up >= 0, d[up], refine_tol)
+    g0 = near & ~(d > 10.0 * max(refine_tol, refine_tol * 0.1))
+    g1 = near & ~(d > 10.0 * np.maximum(motion, refine_tol * 0.1))
+    live = np.flatnonzero(up >= 0)
+    while live.size:
+        p = up[live]
+        g0[live], g1[live] = np.where(g0[p], g1[live], g0[live]), np.where(g1[p], g1[live], g0[live])
+        up[live] = up[p]
+        live = live[up[live] >= 0]
+
+    # each root points back along its accepted link; jumping finds its start
+    head = np.arange(m * n)
+    head[dst[g0]] = src[g0]
+    while not np.array_equal(head[head], head):
+        head = head[head]
+    valid = (np.arange(n) < K[:, None]).ravel()
+    slot = np.cumsum(valid & (head == np.arange(m * n))) - 1
+    roots = np.flatnonzero(valid)
+    branch = slot[head[roots]]
+    roots = roots[np.argsort(branch, kind="stable")]
+    cut = np.cumsum(np.bincount(branch))[:-1]
+    return [{"beta": b, "L": L, "slot": k}
+            for k, (b, L) in enumerate(zip(np.split(B[roots // n], cut), np.split(flat[roots], cut))) if len(b) >= 2]
 
 
 def trace(
@@ -303,62 +346,8 @@ def trace(
 
     nodes = np.concatenate(kept)
     nodes = nodes[np.argsort(B[nodes], kind="stable")]
-    solved = [(B[i], R[i, : K[i]]) for i in nodes]
-
-    # stitch roots into branches
-    open_branches: List[dict] = []
-    done: List[dict] = []
-    next_slot = 0
-    for b, roots in solved:
-        if len(roots) == 0:
-            done.extend(open_branches)
-            open_branches = []
-            continue
-        if not open_branches:
-            for r in roots:
-                open_branches.append({"beta": [b], "L": [r], "slot": next_slot})
-                next_slot += 1
-            continue
-        heads = np.array([br["L"][-1] for br in open_branches])
-        matches = _greedy_match(heads, roots)
-        matched_i, matched_j = set(), set()
-        survivors = []
-        for i, j, d in matches:
-            br = open_branches[i]
-            if len(br["L"]) >= 2:
-                motion = abs(br["L"][-1] - br["L"][-2])
-            else:
-                motion = refine_tol
-            if d > 10.0 * max(motion, refine_tol * 0.1):
-                continue
-            # a far-field jump comparable to |L| itself is a pass through
-            # infinity (pole of the curve), not continuation: chords drawn
-            # across it would cut through the window
-            lo_mag = min(abs(heads[i]), abs(roots[j]))
-            if lo_mag > far_cutoff and d > 0.5 * lo_mag:
-                continue
-            br["beta"].append(b)
-            br["L"].append(roots[j])
-            matched_i.add(i)
-            matched_j.add(j)
-            survivors.append(br)
-        for i, br in enumerate(open_branches):
-            if i not in matched_i:
-                done.append(br)
-        open_branches = survivors
-        for j, r in enumerate(roots):
-            if j not in matched_j:
-                open_branches.append({"beta": [b], "L": [r], "slot": next_slot})
-                next_slot += 1
-    done.extend(open_branches)
-
-    branches = []
-    for br in done:
-        if len(br["beta"]) < 2:
-            continue
-        branches.append(_finalize_branch(F, br))
-    branches.sort(key=lambda br: (br.beta[0], br.root_index))
-    return branches
+    raw = _stitch(B[nodes], R[nodes], K[nodes], far_cutoff=far_cutoff, refine_tol=refine_tol)
+    return [_finalize_branch(F, br) for br in raw]
 
 
 def _finalize_branch(F: CharFun, raw: dict) -> SccBranch:

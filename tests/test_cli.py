@@ -508,3 +508,16 @@ def test_failed_write_leaves_out_empty(tmp_path, monkeypatch):
     assert code == 1
     assert list(out.iterdir()) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ok.json", "out_cfg.json", "out_ok.json"]
+
+
+def test_eigen_solver_failure_exit_1_writes_nothing(tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, but it is a numerical failure, not a bad config
+    def no_convergence(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
+    config = {"figure": "fig15-heat", "grid": [1, 1], "horizon": 5.0, "N": 4, "seeds": 1}
+    code, out = run(tmp_path, "reproduce", config)
+    assert code == 1
+    assert "runtime failure: LinAlgError" in capsys.readouterr().err
+    assert list(out.iterdir()) == []

@@ -189,3 +189,48 @@ def test_validation():
         nw.Chain(5, -1.0)
     with pytest.raises(ValueError):
         nw.RandomNet(10, 0.0, 0.1, seed=1)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("d", [
+    {"kind": "ring", "n": 5.7, "alpha": 1.0},  # a fractional count
+    {"kind": "ring", "n": True, "alpha": 1.0},  # a bool count
+    {"kind": "ring", "n": 5, "alpha": 1.0, "extra": 1},  # an unknown field
+    {"kind": "ring", "n": 5},  # a missing field
+    {"kind": "chain", "n": 5, "alpha": _NAN},
+    {"kind": "chain", "n": 5, "alpha": "1"},
+    {"kind": "chain", "n": 5, "alpha": 1e400},
+    {"kind": "random", "n": 10, "R": _NAN, "alpha": 0.1, "seed": 1},
+    {"kind": "random", "n": 10, "R": 2.0, "alpha": 0.1, "seed": 1.9},
+    {"kind": "random", "n": 10, "R": 2.0, "alpha": 0.1, "seed": False},
+    {"kind": "random", "n": 10, "R": 2.0, "alpha": float("inf"), "seed": 1},
+    {"kind": "random", "n": 10, "R": 2.0, "alpha": 0.1, "seed": -1},
+    {"kind": "laplacian", "weights": [[0.0, _NAN], [1.0, 0.0]]},
+    {"kind": "laplacian", "weights": [[0.0, True], [1.0, 0.0]]},
+    {"kind": "laplacian", "weights": [[0.0, 1.0], [1.0, 0.0]], "n": 2},
+    {"kind": "torus", "n": 5, "alpha": 1.0},
+    {"n": 5, "alpha": 1.0},
+    "ring",
+])
+def test_network_from_dict_rejects(d):
+    with pytest.raises(ValueError):
+        nw.network_from_dict(d)
+
+
+def test_network_from_dict_takes_whole_float_counts():
+    assert nw.network_from_dict({"kind": "ring", "n": 5.0, "alpha": 1}) == nw.Ring(5, 1.0)
+    assert nw.network_from_dict({"kind": "random", "n": 3.0, "R": 2, "alpha": 0, "seed": 4.0}) == nw.RandomNet(3, 2.0, 0.0, 4)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nw.Ring(5, _NAN),
+    lambda: nw.Chain(5, _NAN),
+    lambda: nw.RandomNet(5, _NAN, 0.1, seed=1),
+    lambda: nw.RandomNet(5, 1.0, _NAN, seed=1),
+    lambda: nw.Laplacian(((0.0, _NAN), (1.0, 0.0))),
+])
+def test_specs_reject_nan(make):
+    with pytest.raises(ValueError):
+        make()

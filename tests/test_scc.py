@@ -1,3 +1,5 @@
+from typing import List, Tuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -338,6 +340,22 @@ def _reference_solve_nodes(F, beta):
     return np.array([_reference_newton_polish(coeffs, r) for r in _reference_poly_roots(coeffs)], dtype=complex)
 
 
+def _greedy_match(prev: np.ndarray, new: np.ndarray) -> List[Tuple[int, int, float]]:
+    """Minimal-distance greedy assignment between two small point sets."""
+    pairs = sorted(
+        ((abs(p - q), i, j) for i, p in enumerate(prev) for j, q in enumerate(new)),
+        key=lambda t: t[0],
+    )
+    used_i, used_j, out = set(), set(), []
+    for d, i, j in pairs:
+        if i in used_i or j in used_j:
+            continue
+        used_i.add(i)
+        used_j.add(j)
+        out.append((i, j, d))
+    return out
+
+
 def _reference_needs_split(b0, r0, b1, r1, min_step, far_cutoff, refine_tol):
     if b1 - b0 <= min_step:
         return False
@@ -347,7 +365,7 @@ def _reference_needs_split(b0, r0, b1, r1, min_step, far_cutoff, refine_tol):
         return False
     if min(np.min(np.abs(r0)), np.min(np.abs(r1))) > far_cutoff:
         return False
-    for i, j, d in scc._greedy_match(r0, r1):
+    for i, j, d in _greedy_match(r0, r1):
         if d > refine_tol:
             return True
         a, b = r0[i], r1[j]
@@ -355,6 +373,43 @@ def _reference_needs_split(b0, r0, b1, r1, min_step, far_cutoff, refine_tol):
             if abs(np.angle(b / a)) > np.pi / 2:
                 return True
     return False
+
+
+def _reference_stitch(solved, refine_tol, far_cutoff):
+    open_branches, done, next_slot = [], [], 0
+    for b, roots in solved:
+        if len(roots) == 0:
+            done.extend(open_branches)
+            open_branches = []
+            continue
+        if not open_branches:
+            for r in roots:
+                open_branches.append({"beta": [b], "L": [r], "slot": next_slot})
+                next_slot += 1
+            continue
+        heads = np.array([br["L"][-1] for br in open_branches])
+        matched_i, matched_j, survivors = set(), set(), []
+        for i, j, d in _greedy_match(heads, roots):
+            br = open_branches[i]
+            motion = abs(br["L"][-1] - br["L"][-2]) if len(br["L"]) >= 2 else refine_tol
+            if d > 10.0 * max(motion, refine_tol * 0.1):
+                continue
+            lo_mag = min(abs(heads[i]), abs(roots[j]))
+            if lo_mag > far_cutoff and d > 0.5 * lo_mag:
+                continue
+            br["beta"].append(b)
+            br["L"].append(roots[j])
+            matched_i.add(i)
+            matched_j.add(j)
+            survivors.append(br)
+        done.extend(br for i, br in enumerate(open_branches) if i not in matched_i)
+        open_branches = survivors
+        for j, r in enumerate(roots):
+            if j not in matched_j:
+                open_branches.append({"beta": [b], "L": [r], "slot": next_slot})
+                next_slot += 1
+    done.extend(open_branches)
+    return done
 
 
 def _reference_trace(F, beta_lo, beta_hi, step, *, window=None, refine_frac=0.02):
@@ -394,39 +449,7 @@ def _reference_trace(F, beta_lo, beta_hi, step, *, window=None, refine_frac=0.02
             raise RuntimeError(f"trace exceeded {scc._MAX_NODES} nodes")
     solved.sort(key=lambda t: t[0])
 
-    open_branches, done, next_slot = [], [], 0
-    for b, roots in solved:
-        if len(roots) == 0:
-            done.extend(open_branches)
-            open_branches = []
-            continue
-        if not open_branches:
-            for r in roots:
-                open_branches.append({"beta": [b], "L": [r], "slot": next_slot})
-                next_slot += 1
-            continue
-        heads = np.array([br["L"][-1] for br in open_branches])
-        matched_i, matched_j, survivors = set(), set(), []
-        for i, j, d in scc._greedy_match(heads, roots):
-            br = open_branches[i]
-            motion = abs(br["L"][-1] - br["L"][-2]) if len(br["L"]) >= 2 else refine_tol
-            if d > 10.0 * max(motion, refine_tol * 0.1):
-                continue
-            lo_mag = min(abs(heads[i]), abs(roots[j]))
-            if lo_mag > far_cutoff and d > 0.5 * lo_mag:
-                continue
-            br["beta"].append(b)
-            br["L"].append(roots[j])
-            matched_i.add(i)
-            matched_j.add(j)
-            survivors.append(br)
-        done.extend(br for i, br in enumerate(open_branches) if i not in matched_i)
-        open_branches = survivors
-        for j, r in enumerate(roots):
-            if j not in matched_j:
-                open_branches.append({"beta": [b], "L": [r], "slot": next_slot})
-                next_slot += 1
-    done.extend(open_branches)
+    done = _reference_stitch(solved, refine_tol, far_cutoff)
     branches = [scc._finalize_branch(F, br) for br in done if len(br["beta"]) >= 2]
     branches.sort(key=lambda br: (br.beta[0], br.root_index))
     return branches
@@ -538,18 +561,22 @@ def _padded(rows, n=4):
     return out, np.array([len(pts) for pts in rows])
 
 
+_equal_sets = st.integers(1, 4).flatmap(lambda k: st.tuples(st.lists(_point, min_size=k, max_size=k),
+                                                            st.lists(_point, min_size=k, max_size=k)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(1, 4).flatmap(lambda k: st.tuples(st.lists(_point, min_size=k, max_size=k),
-                                                               st.lists(_point, min_size=k, max_size=k))),
+@given(st.lists(st.one_of(_equal_sets, st.tuples(st.lists(_point, max_size=4), st.lists(_point, max_size=4))),
                 min_size=1, max_size=5))
 def test_vectorized_greedy_match_equals_scalar(sets):
-    p, k = _padded([a for a, _ in sets])
-    q, _ = _padded([b for _, b in sets])
-    I, J, D = scc._greedy_match_rows(p, q, k)
+    p, kp = _padded([a for a, _ in sets])
+    q, kq = _padded([b for _, b in sets])
+    I, J, D = scc._greedy_match_rows(p, q, kp, kq)
     for r, (a, b) in enumerate(sets):
-        want = scc._greedy_match(np.array(a), np.array(b))
-        assert [(i, j) for i, j, _ in want] == list(zip(I[r, : k[r]].tolist(), J[r, : k[r]].tolist()))
-        assert [d for _, _, d in want] == D[r, : k[r]].tolist()
+        want = _greedy_match(np.array(a, dtype=complex), np.array(b, dtype=complex))
+        k = min(kp[r], kq[r])
+        assert [(i, j) for i, j, _ in want] == list(zip(I[r, :k].tolist(), J[r, :k].tolist()))
+        assert [d for _, _, d in want] == D[r, :k].tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -567,3 +594,50 @@ def test_vectorized_split_equals_scalar(intervals, far_cutoff, refine_tol):
     want = [_reference_needs_split(0.0, np.array(a, dtype=complex), w * min_step, np.array(b, dtype=complex),
                                    min_step, far_cutoff, refine_tol) for a, b, w in intervals]
     assert got.tolist() == want
+
+
+def _random_node_table(rng):
+    """Random walks of up to three roots over 2-40 nodes, with every rejection of the stitch in play.
+
+    Counts run from 0 (an empty node) to 3, steps range from far below
+    ``refine_tol`` to far above ten times it, and some whole nodes sit 50
+    times farther out, beyond ``far_cutoff``.
+    """
+    m = int(rng.integers(2, 40))
+    K = np.where(rng.random(m) < 0.3, rng.integers(0, 4, size=m), rng.integers(1, 4))
+    step = rng.choice([0.01, 0.1, 0.5, 3.0], size=(m, 3)) * (rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3)))
+    walk = rng.normal(size=3) + 1j * rng.normal(size=3) + np.cumsum(step, axis=0)
+    walk[rng.random(m) < 0.2] *= 50.0
+    R = np.where(np.arange(3) < K[:, None], walk, np.nan)
+    return np.cumsum(rng.random(m)), R, K, float(rng.choice([3.0, 5.0, 20.0])), float(rng.choice([0.05, 0.1, 0.3]))
+
+
+def _long_reference_branches(B, R, K, far_cutoff, refine_tol):
+    done = _reference_stitch([(B[i], R[i, : K[i]]) for i in range(len(B))], refine_tol, far_cutoff)
+    return sorted((br for br in done if len(br["beta"]) >= 2), key=lambda br: br["slot"])
+
+
+def test_stitch_matches_reference_loop():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        B, R, K, far_cutoff, refine_tol = _random_node_table(rng)
+        got = scc._stitch(B, R, K, far_cutoff=far_cutoff, refine_tol=refine_tol)
+        want = _long_reference_branches(B, R, K, far_cutoff, refine_tol)
+        assert [br["slot"] for br in got] == [br["slot"] for br in want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g["beta"], w["beta"])
+            assert g["L"].tobytes() == np.array(w["L"], dtype=complex).tobytes()
+
+
+def test_stitch_breaks_exact_ties_by_root_order():
+    # Node 2 holds a double root.  Only the second branch enters it, so its
+    # root 0 starts branch 2.  The lone root at node 3 is equally near both,
+    # and the tie goes to root 0, the lower root index of node 2.
+    B = np.arange(4.0)
+    R = np.array([[0.0, 3.0], [0.01, 2.1], [0.51, 0.51], [0.56, np.nan]], dtype=complex)
+    K = np.array([2, 2, 2, 1])
+    got = scc._stitch(B, R, K, far_cutoff=100.0, refine_tol=0.1)
+    assert [(br["slot"], br["beta"].tolist()) for br in got] == [(0, [0.0, 1.0]), (1, [0.0, 1.0, 2.0]), (2, [2.0, 3.0])]
+    # the per-node loop took heads in branch order, and branch 1 came first there
+    want = _long_reference_branches(B, R, K, 100.0, 0.1)
+    assert [(br["slot"], br["beta"]) for br in want] == [(0, [0.0, 1.0]), (1, [0.0, 1.0, 2.0, 3.0])]
