@@ -9,6 +9,10 @@ the method of steps with cubic Hermite interpolation of the stored nodes
 (Bellen & Zennaro, *Numerical Methods for Delay Differential Equations*,
 2003), Gamma delays the linear chain realization, and the oscillator
 population a window of delayed phase exponentials gathered once per step.
+A right-hand side f returns a new array, which the step combines with the
+other stages in place.  Batches of runs with several state components
+(the Gamma chain and car-following) are column-major, so every operation
+of their right-hand side runs over contiguous columns of the batch.
 
 The agent ensembles (``mas_ensemble``) take the same RK4 map in another
 basis.  The agents' system is linear and every block of its matrix but the
@@ -81,8 +85,8 @@ class SimConfig:
     rate_tol: float = 0.01
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ValueError("dt and horizon must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.horizon < math.inf):  # NaN fails too
+            raise ValueError(f"dt and horizon must be positive and finite, got dt={self.dt}, horizon={self.horizon}")
         if not (0.0 < self.rate_window_fraction < 1.0):
             raise ValueError("rate_window_fraction must lie in (0, 1)")
 
@@ -153,14 +157,32 @@ def _rk4_step(f, t, y, dt, lag=_NO_LAG):
     ``lag = (z0, mid, z1)`` holds the delayed arguments z at the start and
     the end of the step, and ``mid(k1)`` gives them at its middle once the
     first stage is known.  The default passes none: an ODE field f(t, y).
+
+    f returns a new array shaped like y, which the step may overwrite: the
+    stages are combined in place, in the order of y + (dt/6)(k1 + 2 k2 +
+    2 k3 + k4), so the result is that expression's bit for bit.  The step
+    writes into no array the caller holds, y and the delayed z included.
     """
     z0, mid, z1 = lag
     k1 = f(t, y, *z0)
     zm = mid(k1)
-    k2 = f(t + dt / 2, y + dt / 2 * k1, *zm)
-    k3 = f(t + dt / 2, y + dt / 2 * k2, *zm)
-    k4 = f(t + dt, y + dt * k3, *z1)
-    return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    arg = dt / 2 * k1
+    arg += y
+    k2 = f(t + dt / 2, arg, *zm)
+    arg = dt / 2 * k2
+    arg += y
+    k3 = f(t + dt / 2, arg, *zm)
+    arg = dt * k3
+    arg += y
+    k4 = f(t + dt, arg, *z1)
+    acc = 2 * k2
+    acc += k1
+    k3 *= 2
+    acc += k3
+    acc += k4
+    acc *= dt / 6
+    acc += y
+    return acc
 
 
 def _rk4(f, y0, dt, n_steps, blowup, observe, delay=None, switch=None, keep_from=0):
@@ -333,27 +355,30 @@ def _carfollowing_rk4(n: int, N: int, alpha, rate, chain: bool, cfg: SimConfig, 
     per row of the gain ``alpha`` and of ``rate`` = n/T, both (C, 1).
 
     State row: the N velocities, then the n chain stages of the filtered
-    neighbor differences, N values each.
+    neighbor differences, N values each.  The state is column-major, so each
+    of its columns is one contiguous run of the batch for the rhs.
     """
     C = len(alpha)
-    alphas = np.repeat(alpha, N, axis=1)
+    alphas = np.asfortranarray(np.repeat(alpha, N, axis=1))
     if chain:
         alphas[:, 0] = 0.0
     x0 = _history_values(cfg.history, UniformHistory(), (N,), float)
-    y0 = np.tile(np.concatenate([x0] + [np.roll(x0, -1) - x0] * n), (C, 1))
+    y0 = np.asfortranarray(np.tile(np.concatenate([x0] + [np.roll(x0, -1) - x0] * n), (C, 1)))
 
     def rhs(t, y):
         x = y[:, :N]
         st = y[:, N:].reshape(C, n, N)
         dy = np.empty_like(y)
-        dy[:, :N] = alphas * st[:, -1]
+        np.multiply(alphas, st[:, -1], out=dy[:, :N])
         ds = dy[:, N:].reshape(C, n, N)
-        gap = np.empty_like(x)  # x[i + 1] - x[i], closing the ring at the end
+        gap = ds[:, 0]  # x[i + 1] - x[i], closing the ring at the end
         np.subtract(x[:, 1:], x[:, :-1], out=gap[:, :-1])
         np.subtract(x[:, :1], x[:, -1:], out=gap[:, -1:])
-        ds[:, 0] = rate * (gap - st[:, 0])
+        gap -= st[:, 0]
+        gap *= rate
         if n > 1:
-            ds[:, 1:] = rate[:, :, None] * (st[:, :-1] - st[:, 1:])
+            np.subtract(st[:, :-1], st[:, 1:], out=ds[:, 1:])
+            ds[:, 1:] *= rate[:, :, None]
         return dy
 
     return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), _BLOWUP, observe,

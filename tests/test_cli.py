@@ -456,6 +456,80 @@ def test_one_bad_field_exit_2_writes_nothing(tmp_path_factory, data):
     assert_rejected(tmp_path, *run_literal(tmp_path, command, config))
 
 
+def _draw_simulate_config(rng, model):
+    """A schema-valid simulate config of ``model`` at a cheap size: short horizons, few agents, short chains."""
+    def u(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    def pair(r):
+        return [u(-r, r), u(-r, r)]
+
+    def maybe(**fields):
+        return {k: v for k, v in fields.items() if rng.random() < 0.7}
+
+    def network(*kinds):
+        kind = str(rng.choice(kinds))
+        n = int(rng.integers(2, 7))
+        fields = {
+            "ring": lambda: {"n": n, "alpha": u(0.05, 3.0)},
+            "chain": lambda: {"n": n, "alpha": u(0.05, 3.0)},
+            # mostly a zero diagonal: a nonzero one is schema-valid but no Laplacian's weights (exit 2)
+            "laplacian": lambda: {"weights": (rng.uniform(0.0, 2.0, (n, n)).round(3)
+                                              * (1 - np.eye(n) * (rng.random() < 0.8))).tolist()},
+            "random": lambda: {"n": int(rng.integers(1, 7)), "R": u(0.1, 3.0), "alpha": u(0.0, 1.0),
+                               "seed": int(rng.integers(0, 100))},
+        }[kind]()
+        return {"kind": kind, **fields}
+
+    def kernel():
+        return [lambda: {"kind": "dirac", "tau": u(0.02, 1.0)},
+                lambda: {"kind": "exponential", "T": u(0.02, 1.0)},
+                lambda: {"kind": "gamma", "n": int(rng.integers(1, 4)), "T": u(0.02, 1.0)},
+                lambda: {"kind": "uniform", "a": u(0.0, 0.3), "A": u(0.3, 1.0)}][rng.integers(4)]()
+
+    params = {
+        "scalar-discrete": lambda: {"a": u(-2, 2), "d": u(-2, 2), "L": pair(4.0), "tau": u(0.02, 1.5)},
+        "scalar-gamma": lambda: {"a": u(-2, 2), "L": pair(4.0), "n": int(rng.integers(1, 4)), "T": u(0.02, 1.5)},
+        "carfollowing": lambda: {"network": network("ring", "chain"), "n": int(rng.integers(1, 4)),
+                                 "T": u(0.02, 2.0)},
+        "mas": lambda: {"a": u(-2, 2), "b": u(-2, 2), "k1": u(-2, 2), "k2": u(-2, 2),
+                        "T": float(rng.choice([0.0, u(0.01, 0.5)])),
+                        "network": network("ring", "chain", "laplacian", "random")},
+        "kuramoto": lambda: {"N": int(rng.integers(2, 7)), "K": u(-5, 5), "C": u(-5, 5), "S": u(-5, 5),
+                             "d": u(-3, 3), **maybe(control_on=u(-1.0, 6.0)),
+                             "delays": {"kind": str(rng.choice(["constant", "exponential"])), "value": u(0.01, 1.0)}},
+        "oa": lambda: {"K": u(-5, 5), "d": u(-3, 3), "L": pair(6.0), "kernel": kernel(),
+                       **maybe(r0=pair(0.5), control_on=u(-1.0, 6.0))},
+    }[model]()
+    history = [lambda: {"kind": "constant", **maybe(value=pair(1.0))},
+               lambda: {"kind": "uniform", **maybe(seed=int(rng.integers(0, 100)), amplitude=u(-2.0, 2.0))}]
+    # dt and horizon are always set, as their defaults (0.01, 50) are no cheap size; at dt = 0.05
+    # the rate fit's window mostly holds fewer than its 100 samples, so most of those runs exit 2
+    sim = {"dt": float(rng.choice([0.02, 0.05])), "horizon": u(3.0, 6.0),
+           **maybe(history=history[rng.integers(2)](), rate_window_fraction=u(0.5, 0.95), rate_tol=u(0.0, 0.1))}
+    config = {"model": model, "params": params, "sim": sim}
+    if model == "kuramoto":
+        config.update(maybe(seed=int(rng.integers(0, 100))))
+    return config
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_valid_simulate_config_exits_cleanly(tmp_path, capsys, seed):
+    # any schema-valid config exits 0, 1 or 2 without a traceback, and --out gets all or nothing
+    model = sorted(cli._SIMULATE)[seed % len(cli._SIMULATE)]
+    config = _draw_simulate_config(np.random.default_rng(seed), model)
+    cli._validate("simulate", config, cli._COMMANDS["simulate"][0])
+    code, out = run(tmp_path, "simulate", config)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    files = sorted(p.name for p in out.iterdir())
+    if code == 0:
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert files == sorted(listed + ["manifest.json"])
+    else:
+        assert files == []
+
+
 def test_readme_examples_validate():
     text = (Path(__file__).parents[1] / "README.md").read_text()
     configs = {name: json.loads(body) for body, name in re.findall(r"echo '(\{.*?\})' > (\S+)", text, re.S)}

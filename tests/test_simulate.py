@@ -211,6 +211,107 @@ def test_blowup_freezes_only_its_column_carfollowing():
     assert np.array_equal(with_blowup[:1], without)
 
 
+def _reference_carfollowing_rhs(n, N, alphas, rate):
+    """The car-following rhs on row-major state: the reference for the column-major one."""
+    def rhs(t, y):
+        C = len(y)
+        x = y[:, :N]
+        st = y[:, N:].reshape(C, n, N)
+        dy = np.empty_like(y)
+        dy[:, :N] = alphas * st[:, -1]
+        ds = dy[:, N:].reshape(C, n, N)
+        gap = np.empty_like(x)  # x[i + 1] - x[i], closing the ring at the end
+        np.subtract(x[:, 1:], x[:, :-1], out=gap[:, :-1])
+        np.subtract(x[:, :1], x[:, -1:], out=gap[:, -1:])
+        ds[:, 0] = rate * (gap - st[:, 0])
+        if n > 1:
+            ds[:, 1:] = rate[:, :, None] * (st[:, :-1] - st[:, 1:])
+        return dy
+
+    return rhs
+
+
+def _carfollowing_field(monkeypatch, n, N, alpha, rate, chain):
+    """The rhs and initial state that ``_carfollowing_rk4`` hands the integrator."""
+    seen = {}
+
+    def capture(f, y0, *args, **kwargs):
+        seen.update(f=f, y0=y0)
+        return None, None
+
+    monkeypatch.setattr(sim, "_rk4", capture)
+    sim._carfollowing_rk4(n, N, alpha, rate, chain, sim.SimConfig(dt=0.01, horizon=1.0), lambda y: y)
+    return seen["f"], seen["y0"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("chain", [False, True])
+@pytest.mark.parametrize("C", [1, 7])
+def test_carfollowing_rhs_matches_row_major_reference(monkeypatch, n, chain, C):
+    N = 6
+    rng = np.random.default_rng(100 * n + 10 * C + chain)
+    alpha = rng.uniform(0.1, 2.0, (C, 1))
+    rate = n / rng.uniform(0.1, 2.0, (C, 1))
+    f, y0 = _carfollowing_field(monkeypatch, n, N, alpha, rate, chain)
+    assert y0.shape == (C, (n + 1) * N) and y0.flags.f_contiguous
+    alphas = np.repeat(alpha, N, axis=1)
+    if chain:
+        alphas[:, 0] = 0.0
+    reference = _reference_carfollowing_rhs(n, N, alphas, rate)
+    for _ in range(3):
+        y = rng.standard_normal(y0.shape)
+        dy = f(0.0, np.asfortranarray(y))
+        assert dy.flags.f_contiguous
+        assert dy.tobytes() == reference(0.0, y).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["real-C", "real-F", "complex"])
+@pytest.mark.parametrize("delayed", [False, True])
+def test_rk4_step_equals_the_textbook_combination(kind, delayed):
+    rng = np.random.default_rng(11)
+    y = rng.standard_normal((40, 25))
+    if kind == "complex":
+        y = y + 1j * rng.standard_normal(y.shape)
+    if kind == "real-F":
+        y = np.asfortranarray(y)
+    g = rng.standard_normal(y.shape)
+    z0, zm, z1 = (rng.standard_normal(y.shape) for _ in range(3))
+    held = [a.copy() for a in (y, z0, zm, z1)]
+
+    def f(t, y, z=0.0):
+        return np.cos(np.abs(y)) * y * (1.0 + t) - g * y + 0.3 * z
+
+    dt, t = 0.37, 1.25  # a long step, so the stage sum shows in y's last bits
+    lag = ((z0,), lambda k1: (zm,), (z1,)) if delayed else sim._NO_LAG
+    a0, am, a1 = ((z0,), (zm,), (z1,)) if delayed else ((), (), ())
+    k1 = f(t, y, *a0)
+    k2 = f(t + dt / 2, y + dt / 2 * k1, *am)
+    k3 = f(t + dt / 2, y + dt / 2 * k2, *am)
+    k4 = f(t + dt, y + dt * k3, *a1)
+    expected = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    got = sim._rk4_step(f, t, y, dt, lag)
+    assert np.isfinite(expected).all()
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    # the step writes into no array the caller holds
+    for before, after in zip(held, (y, z0, zm, z1)):
+        assert after.tobytes() == before.tobytes()
+
+
+def test_carfollowing_state_stays_column_major():
+    # the grid's alpha = 2, T = 3 run blows up, so the freeze path runs too
+    A, Tv = np.meshgrid(_CAR_ALPHAS, _CAR_TS, indexing="ij")
+    steps = []
+
+    def observe(y):
+        assert y.flags.f_contiguous
+        steps.append(None)
+        return sim._spread(y[:, :10])
+
+    _, blow = sim._carfollowing_rk4(2, 10, A.reshape(-1, 1), 2 / Tv.reshape(-1, 1), False, _CAR_CFG, observe)
+    assert (blow >= 0).tolist() == [False, False, False, True]
+    assert len(steps) == sim._n_steps(_CAR_CFG.horizon, _CAR_CFG.dt) + 1
+
+
 def test_blowup_freezes_only_its_column_mas():
     cfg = sim.SimConfig(dt=0.01, horizon=60.0, history=sim.UniformHistory(1))
     Js = [-2.0 * np.eye(6), nw.network_matrix(nw.RandomNet(6, 2.0, 0.1, seed=1)), -0.5 * np.eye(6)]
@@ -552,3 +653,7 @@ def test_config_validation():
         sim.SimConfig(dt=0.0)
     with pytest.raises(ValueError):
         sim.SimConfig(rate_window_fraction=1.5)
+    for field in ("dt", "horizon"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                sim.SimConfig(**{field: value})
