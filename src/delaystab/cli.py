@@ -89,7 +89,7 @@ def _tagged(key: str, variants: dict) -> dict:
 
 _GRID = {"type": "array", "items": _int(1), "minItems": 2, "maxItems": 2}
 _POLY = {"type": "array", "items": _PAIR}
-# kernel_from_dict checks the fields each kind takes, and that a Gamma shape is a whole number
+# kernel_from_dict checks the fields each kind takes, and that a Gamma shape is a JSON integer
 _KERNEL = _obj(optional=("tau", "a", "A", "n", "T"), kind={"type": "string"}, tau=_NUM, a=_NUM, A=_NUM, n=_NUM, T=_NUM)
 _SYSTEM = _obj(
     Q={"type": "array", "items": {"type": "array", "items": _POLY}},

@@ -1,7 +1,10 @@
 """CSV/JSON artifact writers shared by the command-line front end.
 
-Floats are written with shortest round-trip formatting so identical inputs
-produce byte-identical files.
+Every CSV goes through ``write_columns_csv`` and has one format: a header
+row of column names, then one row per record, with floats written in
+shortest round-trip form (``repr``) and integer counts as integers, then
+any trailing lines, each starting with ``#``.  So identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -31,36 +34,26 @@ __all__ = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _cells(column) -> List[str]:
+    """One column's cells: integer counts as integers, anything else as shortest round-trip floats."""
+    a = np.asarray(column)
+    return [str(v) for v in a.tolist()] if a.dtype.kind in "iu" else [repr(v) for v in a.astype(float).tolist()]
+
+
+def write_columns_csv(path: Path, names: Sequence[str], *columns, trailer: Sequence[str] = ()) -> None:
+    """One CSV column per sequence of ``columns``, headed by ``names``; ``trailer`` lines follow the rows."""
+    rows = map(",".join, zip(*map(_cells, columns)))
+    path.write_text("\n".join([",".join(names), *rows, *trailer]) + "\n")
 
 
 def write_branch_csv(path: Path, branch: SccBranch) -> None:
-    lines = ["beta,re_L,im_L,r,theta,theta_prime"]
-    for i in range(len(branch)):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    branch.beta[i],
-                    branch.L[i].real,
-                    branch.L[i].imag,
-                    branch.r[i],
-                    branch.theta[i],
-                    branch.theta_prime[i],
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    write_columns_csv(path, ["beta", "re_L", "im_L", "r", "theta", "theta_prime"], branch.beta,
+                      branch.L.real, branch.L.imag, branch.r, branch.theta, branch.theta_prime)
 
 
 def write_numap_csv(path: Path, numap: NuMap) -> None:
     xs, ys = numap.cell_centers()
-    lines = ["re_L,im_L,nu"]
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            lines.append(f"{_fmt(x)},{_fmt(y)},{int(numap.labels[iy, ix])}")
-    path.write_text("\n".join(lines) + "\n")
+    write_columns_csv(path, ["re_L", "im_L", "nu"], np.tile(xs, len(ys)), np.repeat(ys, len(xs)), numap.labels.ravel())
 
 
 def write_boundaries_json(path: Path, components: Sequence[StabilityComponent]) -> None:
@@ -76,56 +69,26 @@ def write_boundaries_json(path: Path, components: Sequence[StabilityComponent]) 
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    dims = traj.states.shape[1]
-    is_complex = np.iscomplexobj(traj.states)
-    header = ["t"]
-    for k in range(dims):
-        header.append(f"re_{k}")
-        if is_complex:
-            header.append(f"im_{k}")
-    lines = [",".join(header)]
-    for i, t in enumerate(traj.times):
-        row = [_fmt(t)]
-        for k in range(dims):
-            v = traj.states[i, k]
-            row.append(_fmt(v.real if is_complex else v))
-            if is_complex:
-                row.append(_fmt(v.imag))
-        lines.append(",".join(row))
-    if traj.blowup is not None:
-        lines.append(f"# blowup_at,{_fmt(traj.blowup)}")
-    path.write_text("\n".join(lines) + "\n")
+    parts = {"re": traj.states.real, "im": traj.states.imag} if np.iscomplexobj(traj.states) else {"re": traj.states}
+    keys = [(p, k) for k in range(traj.states.shape[1]) for p in parts]
+    trailer = [] if traj.blowup is None else [f"# blowup_at,{float(traj.blowup)!r}"]
+    write_columns_csv(path, ["t"] + [f"{p}_{k}" for p, k in keys], traj.times,
+                      *(parts[p][:, k] for p, k in keys), trailer=trailer)
 
 
 def write_kuramoto_csv(path: Path, result: KuramotoResult) -> None:
-    lines = ["t,abs_r,arg_r"]
-    for t, r in zip(result.times, result.r):
-        lines.append(f"{_fmt(t)},{_fmt(abs(r))},{_fmt(np.angle(r))}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_columns_csv(path: Path, names: Sequence[str], *columns) -> None:
-    """One CSV column per sequence of ``columns``, headed by ``names``."""
-    lines = [",".join(names)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    # np.abs over a complex array may round differently from the scalar abs; hypot matches it
+    r = result.r
+    write_columns_csv(path, ["t", "abs_r", "arg_r"], result.times, np.hypot(r.real, r.imag), np.angle(r))
 
 
 def write_phases_csv(path: Path, times, phases) -> None:
-    n = phases.shape[1] if phases.size else 0
-    lines = ["t," + ",".join(f"theta_{k}" for k in range(n))]
-    for t, row in zip(times, phases):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
-    path.write_text("\n".join(lines) + "\n")
+    write_columns_csv(path, ["t"] + [f"theta_{k}" for k in range(phases.shape[1])], times, *phases.T)
 
 
 def write_heat_csv(path: Path, row_name: str, rows, col_name: str, cols, values) -> None:
-    lines = [f"{row_name},{col_name},value"]
-    for i, rv in enumerate(rows):
-        for j, cv in enumerate(cols):
-            lines.append(f"{_fmt(rv)},{_fmt(cv)},{_fmt(values[i, j])}")
-    path.write_text("\n".join(lines) + "\n")
+    write_columns_csv(path, [row_name, col_name, "value"], np.repeat(rows, len(cols)), np.tile(cols, len(rows)),
+                      np.ravel(values))
 
 
 def config_hash(config: dict) -> str:

@@ -182,7 +182,8 @@ def kernel_from_dict(d: dict) -> DelayKernel:
     """Build a kernel from its dict form, ``{"kind": ..., <fields of that kind>}``.
 
     Every field must be a finite real number (not a bool) and the Gamma
-    shape ``n`` a positive integer; anything else raises ValueError.
+    shape ``n`` a positive integer, not a float such as 2.0; anything else
+    raises ValueError.
     """
     if not isinstance(d, dict):
         raise ValueError(f"kernel must be a dict with a 'kind', got {d!r}")
@@ -203,6 +204,6 @@ def kernel_from_dict(d: dict) -> DelayKernel:
         return Uniform(a=float(d["a"]), A=float(d["A"]))
     if kind == "exponential":
         return Gamma(n=1, T=float(d["T"]))
-    if not (float(d["n"]).is_integer() and d["n"] >= 1):
+    if not (isinstance(d["n"], (int, np.integer)) and d["n"] >= 1):
         raise ValueError(f"kernel field 'n' must be a positive integer, got {d['n']!r}")
     return Gamma(n=int(d["n"]), T=float(d["T"]))

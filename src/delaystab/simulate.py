@@ -89,6 +89,8 @@ class SimConfig:
             raise ValueError(f"dt and horizon must be positive and finite, got dt={self.dt}, horizon={self.horizon}")
         if not (0.0 < self.rate_window_fraction < 1.0):
             raise ValueError("rate_window_fraction must lie in (0, 1)")
+        if not (0.0 <= self.rate_tol < math.inf):  # NaN fails too
+            raise ValueError(f"rate_tol must be nonnegative and finite, got {self.rate_tol}")
 
 
 @dataclass

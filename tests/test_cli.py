@@ -157,9 +157,10 @@ def test_preset_non_number_param_exit_2_writes_nothing(tmp_path, capsys, tau):
         ({"kind": "exponential", "T": "x"}, "kernel field 'T' must be a finite real number"),
         ({"tau": 0.5}, "unknown kernel kind: None"),
         ({"kind": "gamma", "n": 1.5, "T": 1.0}, "kernel field 'n' must be a positive integer"),
+        ({"kind": "gamma", "n": 2.0, "T": 1.0}, "kernel field 'n' must be a positive integer"),
         ({"kind": "dirac", "tau": 10**400}, "kernel field 'tau' must be a finite real number"),
     ],
-    ids=["int", "bool-tau", "string-T", "missing-kind", "fractional-n", "huge-tau"],
+    ids=["int", "bool-tau", "string-T", "missing-kind", "fractional-n", "float-n", "huge-tau"],
 )
 def test_preset_bad_kernel_exit_2_writes_nothing(tmp_path, capsys, kernel, field):
     config = {"preset": "coupling-mode", "params": {"kernel": kernel}, "window": [-1, 1, -1, 1], "resolution": [5, 5]}
@@ -574,11 +575,17 @@ def test_failed_write_leaves_out_empty(tmp_path, monkeypatch):
     assert code == 0
     assert sorted(p.name for p in out.iterdir()) == ["analytic_Tc.csv", "manifest.json", "rates.csv"]
 
-    def disk_full(*args):
-        raise OSError("disk full")
+    write, written = dio.write_columns_csv, []
+
+    def disk_full(path, *args, **kwargs):
+        if written:
+            raise OSError("disk full")
+        written.append(path.name)
+        write(path, *args, **kwargs)
 
     monkeypatch.setattr(dio, "write_columns_csv", disk_full)
     code, out = run(tmp_path, "reproduce", config)
+    assert written == ["rates.csv"]
     assert code == 1
     assert list(out.iterdir()) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ok.json", "out_cfg.json", "out_ok.json"]

@@ -657,3 +657,6 @@ def test_config_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 sim.SimConfig(**{field: value})
+    for value in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rate_tol must be nonnegative and finite"):
+            sim.SimConfig(rate_tol=value)
