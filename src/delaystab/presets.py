@@ -9,6 +9,7 @@ the controlled oscillator population.
 
 from __future__ import annotations
 
+import numbers
 
 from .charfun import CharFun, build_charfun
 from .kernels import DelayKernel, Dirac, Gamma, _finite_real, kernel_from_dict
@@ -92,6 +93,7 @@ _PRESETS = {
 def preset_charfun(name: str, params: dict) -> CharFun:
     """Build a CharFun from a preset name and its parameters: finite real numbers, and a kernel dict.
 
+    The Gamma shape ``n`` must be an integer >= 1, not a float such as 2.0.
     A malformed parameter raises ValueError naming the preset and the parameter.
     """
     if name not in _PRESETS:
@@ -113,5 +115,7 @@ def preset_charfun(name: str, params: dict) -> CharFun:
                 raise ValueError(f"preset {name!r} parameter 'kernel': {e}") from None
         elif not _finite_real(v):
             raise ValueError(f"preset {name!r} parameter {k!r} must be a finite real number, got {v!r}")
+        elif k == "n" and not (isinstance(v, numbers.Integral) and v >= 1):
+            raise ValueError(f"preset {name!r} parameter 'n' must be a positive integer, got {v!r}")
         args[k] = v
     return factory(**args)

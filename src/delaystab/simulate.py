@@ -9,6 +9,10 @@ the method of steps with cubic Hermite interpolation of the stored nodes
 (Bellen & Zennaro, *Numerical Methods for Delay Differential Equations*,
 2003), Gamma delays the linear chain realization, and the oscillator
 population a window of delayed phase exponentials gathered once per step.
+The population's working set is that window, one N x N table of int64
+offsets into it and one block of gathered rows (``_GATHER_BYTES``): the
+pairwise delays are sampled into the table's buffer and rounded to steps
+there, and the field is gathered and summed a block of rows at a time.
 A right-hand side f returns a new array, which the step combines with the
 other stages in place.  Batches of runs with several state components
 (the Gamma chain and car-following) are column-major, so every operation
@@ -592,6 +596,9 @@ def mas_ensemble(
     return stabilized
 
 
+_GATHER_BYTES = 1 << 20  # delayed-phase rows gathered at once: bounds the gather's scratch memory
+
+
 def simulate_kuramoto(
     N: int,
     K: float,
@@ -616,7 +623,10 @@ def simulate_kuramoto(
     step; samples beyond the 99.9th percentile of the sampler are redrawn
     and counted.  The feedback is off before ``control_on``; delayed phase
     lookups reaching before t = 0 use the initial phases frozen.  The phase
-    history is a window of O(max delay x N) values, not O(horizon x N).
+    history is a window of O(max delay x N) values, not O(horizon x N); with
+    it the run holds one N x N int64 table (the delays in steps, then their
+    offsets into the window) and one block of gathered rows of at most
+    ``_GATHER_BYTES``.
     """
     if N < 2:
         raise ValueError("need at least two oscillators")
@@ -640,12 +650,19 @@ def simulate_kuramoto(
     elif kind == "exponential":
         cap = -value * math.log(1e-3)  # 99.9th percentile
         taus = rng.exponential(value, size=(N, N))
-        over = taus > cap
-        while over.any():
-            resampled += int(over.sum())
-            taus[over] = rng.exponential(value, size=int(over.sum()))
-            over = taus > cap
-        M = np.maximum(np.round(taus / dt).astype(np.int64), 1)
+        # only redrawn samples can fall over the cap again
+        over = np.flatnonzero(taus > cap)
+        while len(over):
+            resampled += len(over)
+            taus.flat[over] = rng.exponential(value, size=len(over))
+            over = over[taus.flat[over] > cap]
+        # the steps overwrite the delays they are rounded from, a block of
+        # rows at a time, so the run holds one N x N table
+        M = taus.view(np.int64)
+        rows = max(1, _GATHER_BYTES // (8 * N))
+        for i0 in range(0, N, rows):
+            M[i0 : i0 + rows] = np.round(taus[i0 : i0 + rows] / dt)
+        np.maximum(M, 1, out=M)
     else:
         raise ValueError(f"unknown delay sampler: {kind!r}")
 
@@ -674,7 +691,10 @@ def _kuramoto_run(theta, omega, M, K, C, S, dt, n_steps, control_on, snapshot_ev
     t = 0 read them frozen; when the window is full its last P rows (all a
     lookup can still reach) move to the front.  The delayed field is then
     one flat gather: pair (i, j) at step k reads element (k - base) N +
-    B[i, j] of the flattened window, with B = (P - M[i, j]) N + j.
+    B[i, j] of the flattened window, with B = (P - M[i, j]) N + j.  The
+    int64 table M is overwritten with B.  The gather fills a reused block of
+    rows, of at most ``_GATHER_BYTES``; each row is summed whole, so the
+    field is the same, bit for bit, as from one N x N gather.
     """
     N = len(theta)
     P = int(min(M.max(), n_steps))
@@ -682,8 +702,14 @@ def _kuramoto_run(theta, omega, M, K, C, S, dt, n_steps, control_on, snapshot_ev
     EH = np.empty((W, N), dtype=complex)
     EH[: P + 1] = np.exp(1j * theta)
     flat = EH.ravel()
-    B = (P - np.minimum(M, P)) * N + np.arange(N)
-    E = np.empty((N, N), dtype=complex)
+    B = M
+    np.minimum(B, P, out=B)
+    np.subtract(P, B, out=B)
+    B *= N
+    B += np.arange(N)
+    rows = max(1, min(N, _GATHER_BYTES // (16 * N)))
+    E = np.empty((rows, N), dtype=complex)
+    sums = np.empty(N, dtype=complex)
     base = 0
     r_series = np.empty(n_steps + 1, dtype=complex)
     r_series[0] = EH[P].mean()
@@ -698,17 +724,24 @@ def _kuramoto_run(theta, omega, M, K, C, S, dt, n_steps, control_on, snapshot_ev
     for k in range(n_steps):
         t = k * dt
         if t >= control_on - 1e-12:
-            # every index is in range, so "clip" only skips the bounds check
-            np.take(flat[(k - base) * N :], B, out=E, mode="clip")
-            eta = (E.sum(axis=1) - np.diagonal(E)) / N
+            src = flat[(k - base) * N :]
+            for i0 in range(0, N, rows):
+                i1 = min(i0 + rows, N)
+                blk = E[: i1 - i0]
+                # every index is in range, so "clip" only skips the bounds check
+                np.take(src, B[i0:i1], out=blk, mode="clip")
+                blk.sum(axis=1, out=sums[i0:i1])
+                sums[i0:i1] -= blk.ravel()[i0 :: N + 1]  # the block's diagonal, (i, i)
+            eta = sums / N
         else:
             eta = None
 
         def rhs(t, phase):
-            rr = np.mean(np.exp(1j * phase))
-            dth = omega + K * np.imag(rr * np.exp(-1j * phase))
+            e = np.exp(1j * phase)
+            ce = np.conj(e)  # exp(-1j * phase) bit for bit, but for a zero's sign at phase -0.0
+            dth = omega + K * np.imag(np.mean(e) * ce)
             if eta is not None:
-                w = eta * np.exp(-1j * phase)
+                w = eta * ce
                 dth = dth + C * np.imag(w) + S * np.real(w)
             return dth
 
@@ -778,7 +811,7 @@ def simulate_oa(
     return _trajectory(dt, states, blow[0])
 
 
-_FIT_BLOCK = 1 << 18  # window samples fitted at once: bounds the fit's scratch memory
+_FIT_BLOCK = 1 << 15  # window samples fitted at once: bounds the fit's scratch memory
 
 
 def _fit_rates(t: np.ndarray, norms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -149,6 +149,16 @@ def test_preset_non_number_param_exit_2_writes_nothing(tmp_path, capsys, tau):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("n", [2.0, 0], ids=["float", "zero"])
+def test_preset_gamma_shape_exit_2_writes_nothing(tmp_path, capsys, n):
+    config = {"preset": "scalar-gamma", "params": {"a": 1.0, "n": n, "T": 0.5},
+              "window": [-1, 1, -1, 1], "resolution": [5, 5]}
+    code, out = run(tmp_path, "numap", config)
+    assert code == 2
+    assert f"preset 'scalar-gamma' parameter 'n' must be a positive integer, got {n!r}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "kernel, field",
     [

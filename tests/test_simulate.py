@@ -491,6 +491,10 @@ def _reference_kuramoto_run(theta, omega, M, K, C, S, dt, n_steps, control_on, s
 @pytest.mark.parametrize("control_on", [0.0, 0.3, 1e9])
 @pytest.mark.parametrize("snapshot_every", [0, 7])
 def test_kuramoto_window_matches_reference_loop(monkeypatch, delays, control_on, snapshot_every):
+    _assert_kuramoto_matches_reference_loop(monkeypatch, delays, control_on, snapshot_every)
+
+
+def _assert_kuramoto_matches_reference_loop(monkeypatch, delays, control_on, snapshot_every):
     cfg = sim.SimConfig(dt=0.01, horizon=8.0)
 
     def run():
@@ -503,6 +507,49 @@ def test_kuramoto_window_matches_reference_loop(monkeypatch, delays, control_on,
     assert np.array_equal(new.r, ref.r)
     assert np.array_equal(new.phases, ref.phases)
     assert np.array_equal(new.phase_times, ref.phase_times)
+
+
+# 7 rows of 40 complex values per block: five full blocks and a ragged one of 5 rows
+@pytest.mark.parametrize("delays", [("constant", 0.3), ("exponential", 0.5)])
+@pytest.mark.parametrize("control_on", [0.0, 0.3])
+def test_kuramoto_blocked_gather_matches_reference_loop(monkeypatch, delays, control_on):
+    monkeypatch.setattr(sim, "_GATHER_BYTES", 7 * 16 * 40)
+    _assert_kuramoto_matches_reference_loop(monkeypatch, delays, control_on, 7)
+
+
+def test_conj_of_exp_matches_exp_of_negated_phase():
+    # the population's rhs takes exp(-1j x) as conj(exp(1j x)); flag a platform
+    # where the two differ in a bit
+    rng = np.random.default_rng(0)
+    x = np.concatenate([
+        rng.uniform(-10.0, 10.0, 200_000),
+        rng.uniform(-1e6, 1e6, 20_000),
+        rng.standard_normal(20_000) * 1e15,
+        np.ldexp(rng.uniform(0.5, 1.0, 2_000), rng.integers(-1074, 1024, 2_000)) * rng.choice([-1.0, 1.0], 2_000),
+        [0.0, 5e-324, -5e-324, np.pi, -np.pi, 2.0**52, -(2.0**52), 1e300, -1e300],
+    ])
+    same = np.conj(np.exp(1j * x)).view(np.uint64) == np.exp(-1j * x).view(np.uint64)
+    assert same.all(), x[~same.reshape(-1, 2).all(axis=1)][:5]
+    # at x = -0.0, 1j * x is (-0, +0) and -1j * x is (+0, +0): the results
+    # differ only in the sign of a zero imaginary part
+    z = np.array([-0.0])
+    assert np.conj(np.exp(1j * z)) == np.exp(-1j * z)
+
+
+def test_kuramoto_memory_bounded_by_window_and_one_table():
+    # exponential delays of mean 0.5 reach beyond the 2 s horizon, so the
+    # window holds 2 (n_steps + 1) rows; the old N x N complex gather buffer
+    # and float delay table alone took 24 N^2 bytes
+    N, cfg = 400, sim.SimConfig(dt=0.01, horizon=2.0)
+    window = 2 * (sim._n_steps(cfg.horizon, cfg.dt) + 1) * N * 16
+    bound = window + 8 * N * N + 2 * sim._GATHER_BYTES + (1 << 20)
+    tracemalloc.start()
+    try:
+        sim.simulate_kuramoto(N, 4.0, -16.0, 2.0, 0.0, ("exponential", 0.5), cfg, seed=42, control_on=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_kuramoto_history_memory_bounded_by_delay():
@@ -639,6 +686,26 @@ def test_estimate_rate_sentinels():
     traj = sim.Trajectory(times=t, states=states)
     est = sim.estimate_rate(traj, sim.SimConfig())
     assert est.verdict == "converging" and est.rate == -math.inf
+
+
+def test_fit_rates_do_not_depend_on_the_block(monkeypatch):
+    # ten columns: growing, decaying, oscillating, partly masked, constant and
+    # too sparse to fit; blocks of one column, of three (a ragged last one of
+    # one) and the whole batch
+    rng = np.random.default_rng(5)
+    t = np.arange(400) * 0.05
+    w = np.exp(rng.uniform(-2.0, 2.0, 10)[None, :] * t[:, None]) * (1.0 + 0.3 * np.cos(3.0 * t))[:, None]
+    w[rng.uniform(size=w.shape) < 0.2] = 0.0
+    w[:50, 3] = np.nan
+    w[:, 4] = 0.7
+    w[:300, 5] = -1.0
+    fits = []
+    for block in (len(t), 3 * len(t), 1 << 30):
+        monkeypatch.setattr(sim, "_FIT_BLOCK", block)
+        fits.append([v.view(np.uint64) for v in sim._fit_rates(t, w)])
+    assert np.isnan(sim._fit_rates(t, w)[0][5])
+    for other in fits[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(fits[0], other))
 
 
 def test_estimate_rate_needs_samples():
