@@ -31,7 +31,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List
 
-import jsonschema
 import numpy as np
 
 from . import io as dio
@@ -39,8 +38,9 @@ from . import networks as nw
 from . import presets
 from . import simulate as sim
 from .charfun import CharFun, build_charfun
-from .kernels import Gamma, kernel_from_dict
+from .kernels import KERNEL, Gamma, kernel_from_dict
 from .regions import nu_map, stability_region, trace_covering
+from .schema import NONNEG, NUM, PAIR, POS, SEED, check, integer, obj, tagged
 from .scc import trace
 
 
@@ -48,87 +48,37 @@ class ConfigError(ValueError):
     pass
 
 
-# "integer" is a JSON integer: 2.0 is no count, nor is true
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)
-    ),
-)
-
-# a number a float holds finitely: 1e400 parses as inf and fails, as does 10**400
-_NUM = {"type": "number", "minimum": -sys.float_info.max, "maximum": sys.float_info.max}
-_POS = {**_NUM, "exclusiveMinimum": 0}
-_NONNEG = {**_NUM, "minimum": 0}
-_PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}  # a complex number [re, im]
-
-
-def _int(lo: int) -> dict:
-    return {"type": "integer", "minimum": lo}
-
-
-def _obj(optional=(), **props) -> dict:
-    """An object with the fields ``props`` only; all are required but those in ``optional`` (True: none)."""
-    required = [] if optional is True else [k for k in props if k not in optional]
-    return {"type": "object", "properties": props, "required": required, "additionalProperties": False}
-
-
-def _tagged(key: str, variants: dict) -> dict:
-    """An object whose field ``key`` names one of ``variants``, and whose other fields that variant's schema checks."""
-    return {
-        "type": "object",
-        "required": [key],
-        "properties": {key: {"enum": sorted(variants)}},
-        "allOf": [
-            {"if": {"properties": {key: {"const": k}}, "required": [key]},
-             "then": {**s, "properties": {key: True, **s["properties"]}}}
-            for k, s in variants.items()
-        ],
-    }
-
-
-_GRID = {"type": "array", "items": _int(1), "minItems": 2, "maxItems": 2}
-_POLY = {"type": "array", "items": _PAIR}
-# kernel_from_dict checks the fields each kind takes, and that a Gamma shape is a JSON integer
-_KERNEL = _obj(optional=("tau", "a", "A", "n", "T"), kind={"type": "string"}, tau=_NUM, a=_NUM, A=_NUM, n=_NUM, T=_NUM)
-_SYSTEM = _obj(
+_GRID = {"type": "array", "items": integer(1), "minItems": 2, "maxItems": 2}
+_POLY = {"type": "array", "items": PAIR}
+_SYSTEM = obj(
     Q={"type": "array", "items": {"type": "array", "items": _POLY}},
     B={"type": "array", "items": {"type": "array", "items": _POLY}},
-    kernel=_KERNEL,
+    kernel=KERNEL,
 )
-_BETA = _obj(lo=_NUM, hi=_NUM, step=_POS)
-_WINDOW = {"type": "array", "items": _NUM, "minItems": 4, "maxItems": 4}
-# preset_charfun checks a preset's params, and names the preset in its messages
-_PRESET = {"preset": {"type": "string"}, "params": {"type": "object"}, "system": _SYSTEM}
-_SCC = _obj(optional=("preset", "params", "system", "window"), **_PRESET, beta=_BETA, window=_WINDOW)
-_NUMAP = _obj(optional=("preset", "params", "system", "beta"), **_PRESET, window=_WINDOW,
-              resolution={"type": "array", "items": _int(2), "minItems": 2, "maxItems": 2}, beta=_BETA)
+_BETA = obj(lo=NUM, hi=NUM, step=POS)
+_WINDOW = {"type": "array", "items": NUM, "minItems": 4, "maxItems": 4}
+# a preset (its params checked by preset_charfun, which names the preset) or a system, never both
+_SOURCE = {"preset": {"type": "string"}, "params": {"type": "object"}, "system": _SYSTEM}
+_ONE_SOURCE = {"oneOf": [{"required": ["preset"]}, {"required": ["system"]}],
+               "dependentRequired": {"params": ["preset"]}}
+_SCC = {**obj(optional=("preset", "params", "system", "window"), **_SOURCE, beta=_BETA, window=_WINDOW), **_ONE_SOURCE}
+_NUMAP = {**obj(optional=("preset", "params", "system", "beta"), **_SOURCE, window=_WINDOW,
+                resolution={"type": "array", "items": integer(2), "minItems": 2, "maxItems": 2}, beta=_BETA),
+          **_ONE_SOURCE}
 
-_NETWORKS = {
-    "ring": _obj(n=_int(2), alpha=_POS),
-    "chain": _obj(n=_int(2), alpha=_POS),
-    "laplacian": _obj(weights={"type": "array", "items": {"type": "array", "items": _NONNEG}}),
-    "random": _obj(n=_int(1), R=_POS, alpha=_NONNEG, seed=_int(0)),
-}
 _HISTORIES = {
-    "constant": (_obj(optional=True, value=_PAIR), lambda h: sim.ConstantHistory(complex(*h.get("value", [0.1, 0.0])))),
-    "uniform": (_obj(optional=True, seed=_int(0), amplitude=_NUM),
+    "constant": (obj(optional=True, value=PAIR), lambda h: sim.ConstantHistory(complex(*h.get("value", [0.1, 0.0])))),
+    "uniform": (obj(optional=True, seed=SEED, amplitude=NUM),
                 lambda h: sim.UniformHistory(seed=h.get("seed", 0), amplitude=h.get("amplitude", 1.0))),
 }
-_SIM = _obj(
+_SIM = obj(
     optional=True,
-    dt=_POS,
-    horizon=_POS,
-    history=_tagged("kind", {k: s for k, (s, _) in _HISTORIES.items()}),
-    rate_window_fraction={**_NUM, "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-    rate_tol=_NONNEG,
+    dt=POS,
+    horizon=POS,
+    history=tagged("kind", {k: s for k, (s, _) in _HISTORIES.items()}),
+    rate_window_fraction={**NUM, "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    rate_tol=NONNEG,
 )
-
-
-def _validate(command: str, config, schema: dict) -> None:
-    err = jsonschema.exceptions.best_match(_Validator(schema).iter_errors(config))
-    if err is not None:
-        raise ConfigError(f"invalid {command} config: {err.message} (at {'/'.join(map(str, err.path))})")
 
 
 def _reject_constant(name: str):
@@ -142,24 +92,21 @@ def _load(command: str, path: str):
         config = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    _validate(command, config, schema)
+    try:
+        check(config, schema, f"{command} config")
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     return config, build
 
 
 def _charfun_from_config(config: dict) -> CharFun:
-    if ("preset" in config) == ("system" in config):
-        raise ConfigError("exactly one of 'preset' or 'system' must be given")
-    if "preset" in config:
-        try:
-            return presets.preset_charfun(config["preset"], config.get("params", {}))
-        except (ValueError, TypeError) as e:
-            raise ConfigError(str(e))
-    sysd = config["system"]
-
     def grid(rows):
         return [[[complex(re, im) for re, im in entry] for entry in row] for row in rows]
 
     try:
+        if "preset" in config:
+            return presets.preset_charfun(config["preset"], config.get("params", {}))
+        sysd = config["system"]
         return build_charfun(grid(sysd["Q"]), grid(sysd["B"]), kernel_from_dict(sysd["kernel"]))
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e))
@@ -226,15 +173,15 @@ def cmd_numap(config: dict, out: Path, args) -> List[str]:
 
 
 _CRITICAL = {
-    "carfollowing": (_obj(n=_int(1), N=_int(2), alpha=_POS),
+    "carfollowing": (obj(n=integer(1), N=integer(2), alpha=POS),
                      lambda c, out, args: _dump(out, "critical.json",
                                                 Tc=nw.carfollowing_Tc(c["n"], c["N"], c["alpha"]))),
-    "chain": (_obj(n=_int(1), alpha=_POS),
+    "chain": (obj(n=integer(1), alpha=POS),
               lambda c, out, args: _dump(out, "critical.json", Tc=nw.chain_Tc(c["n"], c["alpha"]))),
-    "mas": (_obj(a=_NUM, b=_NUM, k1=_NUM, k2=_NUM),
+    "mas": (obj(a=NUM, b=NUM, k1=NUM, k2=NUM),
             lambda c, out, args: _dump(out, "critical.json", Tc1=nw.mas_Tc1(c["a"], c["b"], c["k1"], c["k2"]),
                                        Tc2=nw.mas_Tc2(c["a"], c["k1"], c["k2"]))),
-    "alpha_c": (_obj(a=_NUM, b=_NUM, k1=_NUM, k2=_NUM, T=_NONNEG, R=_NUM, N=_int(1)),
+    "alpha_c": (obj(a=NUM, b=NUM, k1=NUM, k2=NUM, T=NONNEG, R=NUM, N=integer(1)),
                 lambda c, out, args: _dump(out, "critical.json", alpha_c=nw.alpha_c(
                     c["a"], c["b"], c["k1"], c["k2"], c["T"], c["R"], c["N"]))),
 }
@@ -295,22 +242,22 @@ def _simulate_oa(config, out, args):
 
 def _model(optional=(), **params) -> dict:
     """The config schema of a simulate model: its ``params``, and an optional ``sim`` block."""
-    return _obj(optional=("sim",), params=_obj(optional, **params), sim=_SIM)
+    return obj(optional=("sim",), params=obj(optional, **params), sim=_SIM)
 
 
 _SIMULATE = {
-    "scalar-discrete": (_model(a=_NUM, d=_NUM, L=_PAIR, tau=_POS), _simulate_scalar_discrete),
-    "scalar-gamma": (_model(a=_NUM, L=_PAIR, n=_int(1), T=_POS), _simulate_scalar_gamma),
-    "carfollowing": (_model(network=_tagged("kind", {k: _NETWORKS[k] for k in ("ring", "chain")}), n=_int(1), T=_POS),
-                     _simulate_carfollowing),
-    "mas": (_model(a=_NUM, b=_NUM, k1=_NUM, k2=_NUM, T=_NONNEG, network=_tagged("kind", _NETWORKS)), _simulate_mas),
+    "scalar-discrete": (_model(a=NUM, d=NUM, L=PAIR, tau=POS), _simulate_scalar_discrete),
+    "scalar-gamma": (_model(a=NUM, L=PAIR, n=integer(1), T=POS), _simulate_scalar_gamma),
+    "carfollowing": (_model(network={"allOf": [nw.NETWORK, {"properties": {"kind": {"enum": ["chain", "ring"]}}}]},
+                            n=integer(1), T=POS), _simulate_carfollowing),
+    "mas": (_model(a=NUM, b=NUM, k1=NUM, k2=NUM, T=NONNEG, network=nw.NETWORK), _simulate_mas),
     "kuramoto": (
-        _obj(optional=("sim", "seed"), sim=_SIM, seed=_int(0), params=_obj(
-            optional=("control_on",), N=_int(2), K=_NUM, C=_NUM, S=_NUM, d=_NUM, control_on=_NUM,
-            delays=_tagged("kind", {"constant": _obj(value=_POS), "exponential": _obj(value=_POS)}))),
+        obj(optional=("sim", "seed"), sim=_SIM, seed=SEED, params=obj(
+            optional=("control_on",), N=integer(2), K=NUM, C=NUM, S=NUM, d=NUM, control_on=NUM,
+            delays=tagged("kind", {"constant": obj(value=POS), "exponential": obj(value=POS)}))),
         _simulate_kuramoto,
     ),
-    "oa": (_model(optional=("r0", "control_on"), K=_NUM, d=_NUM, L=_PAIR, kernel=_KERNEL, r0=_PAIR, control_on=_NUM),
+    "oa": (_model(optional=("r0", "control_on"), K=NUM, d=NUM, L=PAIR, kernel=KERNEL, r0=PAIR, control_on=NUM),
            _simulate_oa),
 }
 
@@ -397,12 +344,12 @@ def _fig16(config, out, args):
 
 
 _REPRODUCE = {
-    "fig7-heat": (_obj(optional=True, grid=_GRID, horizon=_POS, d=_NUM), _fig7),
-    "fig9-heat": (_obj(optional=True, grid=_GRID, horizon=_POS), _fig9),
-    "fig12-heat": (_obj(optional=True, grid=_GRID, horizon=_POS, n=_int(1), N=_int(2)), _fig12),
-    "fig15-heat": (_obj(optional=True, grid=_GRID, horizon=_POS, R=_POS, N=_int(1), seeds=_int(1)), _fig15),
-    "fig16-series": (_obj(optional=True, horizon=_POS, N=_int(2), case={"enum": sorted(_FIG16_CASES)},
-                          seeds=_int(0)), _fig16),
+    "fig7-heat": (obj(optional=True, grid=_GRID, horizon=POS, d=NUM), _fig7),
+    "fig9-heat": (obj(optional=True, grid=_GRID, horizon=POS), _fig9),
+    "fig12-heat": (obj(optional=True, grid=_GRID, horizon=POS, n=integer(1), N=integer(2)), _fig12),
+    "fig15-heat": (obj(optional=True, grid=_GRID, horizon=POS, R=POS, N=integer(1), seeds=integer(1)), _fig15),
+    "fig16-series": (obj(optional=True, horizon=POS, N=integer(2), case={"enum": sorted(_FIG16_CASES)},
+                          seeds=SEED), _fig16),
 }
 
 
@@ -424,7 +371,7 @@ def _dispatch(key: str, table: dict):
         except (ValueError, ZeroDivisionError) as e:
             raise ConfigError(f"{key} {config[key]!r}: {type(e).__name__}: {e}") from None
 
-    return _tagged(key, {k: s for k, (s, _) in table.items()}), build
+    return tagged(key, {k: s for k, (s, _) in table.items()}), build
 
 
 _COMMANDS = {

@@ -11,11 +11,12 @@ form and accept scalar or numpy-array arguments for ``lam``.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from .schema import NONNEG, POS, check, integer, obj, tagged
 
 __all__ = [
     "DelayKernel",
@@ -24,6 +25,7 @@ __all__ = [
     "Gamma",
     "Exponential",
     "KernelPoleError",
+    "KERNEL",
     "laplace",
     "laplace_derivative",
     "kernel_to_dict",
@@ -170,40 +172,17 @@ def kernel_to_dict(kernel: DelayKernel) -> dict:
     raise TypeError(f"not a delay kernel: {kernel!r}")
 
 
-def _finite_real(v) -> bool:
-    """True for a real number, not a bool, that a float holds finitely (NaN, inf and huge ints fail)."""
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-_KERNEL_FIELDS = {"dirac": ("tau",), "uniform": ("a", "A"), "gamma": ("n", "T"), "exponential": ("T",)}
+# each kind's schema, and its builder
+_FROM_DICT = {
+    "dirac": (obj(tau=NONNEG), lambda d: Dirac(tau=float(d["tau"]))),
+    "uniform": (obj(a=NONNEG, A=POS), lambda d: Uniform(a=float(d["a"]), A=float(d["A"]))),
+    "gamma": (obj(n=integer(1), T=POS), lambda d: Gamma(n=int(d["n"]), T=float(d["T"]))),
+    "exponential": (obj(T=POS), lambda d: Gamma(n=1, T=float(d["T"]))),
+}
+KERNEL = tagged("kind", {k: s for k, (s, _) in _FROM_DICT.items()})
 
 
 def kernel_from_dict(d: dict) -> DelayKernel:
-    """Build a kernel from its dict form, ``{"kind": ..., <fields of that kind>}``.
-
-    Every field must be a finite real number (not a bool) and the Gamma
-    shape ``n`` a positive integer, not a float such as 2.0; anything else
-    raises ValueError.
-    """
-    if not isinstance(d, dict):
-        raise ValueError(f"kernel must be a dict with a 'kind', got {d!r}")
-    kind = d.get("kind")
-    if kind not in _KERNEL_FIELDS:
-        raise ValueError(f"unknown kernel kind: {kind!r}")
-    names = _KERNEL_FIELDS[kind]
-    missing = [k for k in names if k not in d]
-    extra = [k for k in d if k != "kind" and k not in names]
-    if missing or extra:
-        raise ValueError(f"{kind} kernel takes fields {list(names)}; missing {missing}, unknown {extra}")
-    for k in names:
-        if not _finite_real(d[k]):
-            raise ValueError(f"kernel field {k!r} must be a finite real number, got {d[k]!r}")
-    if kind == "dirac":
-        return Dirac(tau=float(d["tau"]))
-    if kind == "uniform":
-        return Uniform(a=float(d["a"]), A=float(d["A"]))
-    if kind == "exponential":
-        return Gamma(n=1, T=float(d["T"]))
-    if not (isinstance(d["n"], (int, np.integer)) and d["n"] >= 1):
-        raise ValueError(f"kernel field 'n' must be a positive integer, got {d['n']!r}")
-    return Gamma(n=int(d["n"]), T=float(d["T"]))
+    """Build a kernel from its dict form ``{"kind": ..., <fields>}``; ValueError unless it matches KERNEL."""
+    check(d, KERNEL, "kernel")
+    return _FROM_DICT[d["kind"]][1](d)

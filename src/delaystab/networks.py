@@ -19,8 +19,9 @@ import numpy as np
 
 from . import presets
 from .eigen import eigvals
-from .kernels import Gamma, _finite_real
+from .kernels import Gamma
 from .regions import Membership, OnSccError, membership, nu_contour
+from .schema import NONNEG, POS, check, integer, obj, tagged
 
 __all__ = [
     "Ring",
@@ -28,6 +29,7 @@ __all__ = [
     "Laplacian",
     "RandomNet",
     "NetworkSpec",
+    "NETWORK",
     "Spectrum",
     "MarginalSpectrumError",
     "AnchorUnstableError",
@@ -380,38 +382,19 @@ def network_to_dict(net: NetworkSpec) -> dict:
     raise TypeError(f"not a network spec: {net!r}")
 
 
-def _integral(v) -> bool:
-    return _finite_real(v) and float(v).is_integer()
-
-
-def _weights(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(isinstance(row, (list, tuple)) and all(map(_finite_real, row)) for row in v)
-
-
-# each kind's fields with their checks, and its builder
+# each kind's schema, and its builder
 _FROM_DICT = {
-    "ring": ({"n": _integral, "alpha": _finite_real}, lambda d: Ring(N=int(d["n"]), alpha=float(d["alpha"]))),
-    "chain": ({"n": _integral, "alpha": _finite_real}, lambda d: Chain(N=int(d["n"]), alpha=float(d["alpha"]))),
-    "laplacian": ({"weights": _weights}, lambda d: Laplacian(weights=tuple(tuple(row) for row in d["weights"]))),
-    "random": ({"n": _integral, "R": _finite_real, "alpha": _finite_real, "seed": _integral},
+    "ring": (obj(n=integer(2), alpha=POS), lambda d: Ring(N=int(d["n"]), alpha=float(d["alpha"]))),
+    "chain": (obj(n=integer(2), alpha=POS), lambda d: Chain(N=int(d["n"]), alpha=float(d["alpha"]))),
+    "laplacian": (obj(weights={"type": "array", "items": {"type": "array", "items": NONNEG}}),
+                  lambda d: Laplacian(weights=tuple(tuple(row) for row in d["weights"]))),
+    "random": (obj(n=integer(1), R=POS, alpha=NONNEG, seed=integer(0)),
                lambda d: RandomNet(N=int(d["n"]), R=float(d["R"]), alpha=float(d["alpha"]), seed=int(d["seed"]))),
 }
+NETWORK = tagged("kind", {k: s for k, (s, _) in _FROM_DICT.items()})
 
 
 def network_from_dict(d: dict) -> NetworkSpec:
-    """Build a network from its dict form, ``{"kind": ..., <exactly the fields of that kind>}``.
-
-    Counts and seeds must be whole numbers, the other fields finite real
-    numbers (a Laplacian's weights: lists of them), and none may be a bool;
-    anything else raises ValueError.
-    """
-    if not isinstance(d, dict) or d.get("kind") not in _FROM_DICT:
-        raise ValueError(f"network must be a dict with a kind in {sorted(_FROM_DICT)}, got {d!r}")
-    fields, build = _FROM_DICT[d["kind"]]
-    missing, extra = sorted(set(fields) - set(d)), sorted(set(d) - set(fields) - {"kind"})
-    if missing or extra:
-        raise ValueError(f"{d['kind']} network takes fields {list(fields)}; missing {missing}, unknown {extra}")
-    for k, ok in fields.items():
-        if not ok(d[k]):
-            raise ValueError(f"{d['kind']} network field {k!r} is not a valid value: {d[k]!r}")
-    return build(d)
+    """Build a network from its dict form ``{"kind": ..., <fields>}``; ValueError unless it matches NETWORK."""
+    check(d, NETWORK, "network")
+    return _FROM_DICT[d["kind"]][1](d)

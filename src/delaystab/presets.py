@@ -9,10 +9,9 @@ the controlled oscillator population.
 
 from __future__ import annotations
 
-import numbers
-
 from .charfun import CharFun, build_charfun
-from .kernels import DelayKernel, Dirac, Gamma, _finite_real, kernel_from_dict
+from .kernels import KERNEL, DelayKernel, Dirac, Gamma, kernel_from_dict
+from .schema import NONNEG, NUM, POS, check, integer, obj
 
 __all__ = [
     "scalar_discrete",
@@ -78,44 +77,22 @@ def drift_difference_coupling() -> CharFun:
     return build_charfun([[[complex(0.1, 0.1), -1]]], [[[0, 1]]], Dirac(1.0))
 
 
-# CLI-facing names.
+# CLI-facing names: each preset's factory, and the schema of its params
 _PRESETS = {
-    "growth-feedback": (growth_with_feedback, ()),
-    "drift-difference": (drift_difference_coupling, ()),
-    "scalar-discrete": (scalar_discrete, ("a", "d", "tau")),
-    "scalar-gamma": (scalar_gamma, ("a", "n", "T")),
-    "pd-agent": (pd_agent_mode, ("a", "b", "k1", "k2", "T")),
-    "coupling-mode": (coupling_mode, ("kernel",)),
-    "oscillator-mode": (oscillator_mode, ("K", "d", "kernel")),
+    "growth-feedback": (growth_with_feedback, obj()),
+    "drift-difference": (drift_difference_coupling, obj()),
+    "scalar-discrete": (scalar_discrete, obj(a=NUM, d=NUM, tau=NONNEG)),
+    "scalar-gamma": (scalar_gamma, obj(a=NUM, n=integer(1), T=POS)),
+    "pd-agent": (pd_agent_mode, obj(a=NUM, b=NUM, k1=NUM, k2=NUM, T=NONNEG)),
+    "coupling-mode": (coupling_mode, obj(kernel=KERNEL)),
+    "oscillator-mode": (oscillator_mode, obj(K=NUM, d=NUM, kernel=KERNEL)),
 }
 
 
 def preset_charfun(name: str, params: dict) -> CharFun:
-    """Build a CharFun from a preset name and its parameters: finite real numbers, and a kernel dict.
-
-    The Gamma shape ``n`` must be an integer >= 1, not a float such as 2.0.
-    A malformed parameter raises ValueError naming the preset and the parameter.
-    """
+    """Build a CharFun from a preset and its params; ValueError, naming the preset, unless they match its schema."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset: {name!r}")
-    factory, arg_names = _PRESETS[name]
-    missing = [k for k in arg_names if k not in params]
-    if missing:
-        raise ValueError(f"preset {name!r} missing parameters: {missing}")
-    extra = [k for k in params if k not in arg_names]
-    if extra:
-        raise ValueError(f"preset {name!r} got unknown parameters: {extra}")
-    args = {}
-    for k in arg_names:
-        v = params[k]
-        if k == "kernel":
-            try:
-                v = kernel_from_dict(v)
-            except ValueError as e:
-                raise ValueError(f"preset {name!r} parameter 'kernel': {e}") from None
-        elif not _finite_real(v):
-            raise ValueError(f"preset {name!r} parameter {k!r} must be a finite real number, got {v!r}")
-        elif k == "n" and not (isinstance(v, numbers.Integral) and v >= 1):
-            raise ValueError(f"preset {name!r} parameter 'n' must be a positive integer, got {v!r}")
-        args[k] = v
-    return factory(**args)
+    factory, schema = _PRESETS[name]
+    check(params, schema, f"preset {name!r} params")
+    return factory(**{k: kernel_from_dict(v) if k == "kernel" else v for k, v in params.items()})

@@ -643,10 +643,15 @@ def simulate_kuramoto(
     truncated_fraction = extra / (N + extra)
 
     dt = cfg.dt
+    n_steps = _n_steps(cfg.horizon, dt)
     kind, value = delays
     resampled = 0
+    # a delay of n_steps or more reads the frozen initial phases all run long, so
+    # delays are capped there before the int64 cast: none overflows it, and
+    # _kuramoto_run caps the steps there anyway
+    t_max = n_steps * dt
     if kind == "constant":
-        M = np.full((N, N), max(1, int(round(value / dt))), dtype=np.int64)
+        M = np.full((N, N), max(1, round(min(value, t_max) / dt)), dtype=np.int64)
     elif kind == "exponential":
         cap = -value * math.log(1e-3)  # 99.9th percentile
         taus = rng.exponential(value, size=(N, N))
@@ -661,12 +666,11 @@ def simulate_kuramoto(
         M = taus.view(np.int64)
         rows = max(1, _GATHER_BYTES // (8 * N))
         for i0 in range(0, N, rows):
-            M[i0 : i0 + rows] = np.round(taus[i0 : i0 + rows] / dt)
+            M[i0 : i0 + rows] = np.round(np.minimum(taus[i0 : i0 + rows], t_max) / dt)
         np.maximum(M, 1, out=M)
     else:
         raise ValueError(f"unknown delay sampler: {kind!r}")
 
-    n_steps = _n_steps(cfg.horizon, dt)
     r_series, snap_times, snaps = _kuramoto_run(
         theta, omega, M, K, C, S, dt, n_steps, control_on, snapshot_every
     )

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import re
+import sys
 from pathlib import Path
 
 import mpmath
@@ -10,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaystab import cli
+from delaystab import cli, presets
 from delaystab import io as dio
 from delaystab.cli import main
+from delaystab.kernels import KERNEL, kernel_from_dict
+from delaystab.networks import NETWORK
+from delaystab.schema import Validator, check
 
 
 def run(tmp_path, command, config, *flags, name="cfg.json"):
@@ -145,55 +149,111 @@ def test_preset_non_number_param_exit_2_writes_nothing(tmp_path, capsys, tau):
               "beta": {"lo": -2, "hi": 2, "step": 0.1}}
     code, out = run(tmp_path, "scc", config)
     assert code == 2
-    assert "preset 'scalar-discrete' parameter 'tau' must be a finite real number" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"invalid preset 'scalar-discrete' params: {tau!r} is not of type 'number' (at tau)\n"
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("n", [2.0, 0], ids=["float", "zero"])
-def test_preset_gamma_shape_exit_2_writes_nothing(tmp_path, capsys, n):
+@pytest.mark.parametrize("n, message", [(2.0, "2.0 is not of type 'integer'"), (0, "0 is less than the minimum of 1"),
+                                        (10**400, f"{10**400} is greater than the maximum of {sys.float_info.max!r}")],
+                         ids=["float", "zero", "huge"])
+def test_preset_gamma_shape_exit_2_writes_nothing(tmp_path, capsys, n, message):
     config = {"preset": "scalar-gamma", "params": {"a": 1.0, "n": n, "T": 0.5},
               "window": [-1, 1, -1, 1], "resolution": [5, 5]}
     code, out = run(tmp_path, "numap", config)
     assert code == 2
-    assert f"preset 'scalar-gamma' parameter 'n' must be a positive integer, got {n!r}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"invalid preset 'scalar-gamma' params: {message} (at n)\n"
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize(
-    "kernel, field",
-    [
-        (5, "kernel must be a dict"),
-        ({"kind": "dirac", "tau": True}, "kernel field 'tau' must be a finite real number"),
-        ({"kind": "exponential", "T": "x"}, "kernel field 'T' must be a finite real number"),
-        ({"tau": 0.5}, "unknown kernel kind: None"),
-        ({"kind": "gamma", "n": 1.5, "T": 1.0}, "kernel field 'n' must be a positive integer"),
-        ({"kind": "gamma", "n": 2.0, "T": 1.0}, "kernel field 'n' must be a positive integer"),
-        ({"kind": "dirac", "tau": 10**400}, "kernel field 'tau' must be a finite real number"),
-    ],
-    ids=["int", "bool-tau", "string-T", "missing-kind", "fractional-n", "float-n", "huge-tau"],
-)
-def test_preset_bad_kernel_exit_2_writes_nothing(tmp_path, capsys, kernel, field):
+_HUGE = 10**400
+# a bad kernel, the message that rejects it, and the path of the bad field within the kernel
+_BAD_KERNELS = [
+    (5, "5 is not of type 'object'", ""),
+    ({"kind": "dirac", "tau": True}, "True is not of type 'number'", "tau"),
+    ({"kind": "exponential", "T": "x"}, "'x' is not of type 'number'", "T"),
+    ({"tau": 0.5}, "'kind' is a required property", ""),
+    ({"kind": "gamma", "n": 1.5, "T": 1.0}, "1.5 is not of type 'integer'", "n"),
+    ({"kind": "gamma", "n": 2.0, "T": 1.0}, "2.0 is not of type 'integer'", "n"),
+    ({"kind": "dirac", "tau": _HUGE}, f"{_HUGE} is greater than the maximum of {sys.float_info.max!r}", "tau"),
+    ({"kind": "gamma", "n": _HUGE, "T": 1.0}, f"{_HUGE} is greater than the maximum of {sys.float_info.max!r}", "n"),
+]
+_BAD_KERNEL_IDS = ["int", "bool-tau", "string-T", "missing-kind", "fractional-n", "float-n", "huge-tau", "huge-n"]
+
+
+@pytest.mark.parametrize("kernel, message, at", _BAD_KERNELS, ids=_BAD_KERNEL_IDS)
+def test_preset_bad_kernel_exit_2_writes_nothing(tmp_path, capsys, kernel, message, at):
     config = {"preset": "coupling-mode", "params": {"kernel": kernel}, "window": [-1, 1, -1, 1], "resolution": [5, 5]}
     code, out = run(tmp_path, "numap", config)
     assert code == 2
-    err = capsys.readouterr().err
-    assert "preset 'coupling-mode' parameter 'kernel'" in err and field in err
+    path = "/".join(["kernel", at]).rstrip("/")
+    assert capsys.readouterr().err == f"invalid preset 'coupling-mode' params: {message} (at {path})\n"
     assert list(out.iterdir()) == []
+
+
+# NaN is no JSON number, so only a Python caller can pass it; no minimum or maximum catches it
+_NAN_KERNELS = [
+    ({"kind": "dirac", "tau": float("nan")}, "nan is not of type 'number'", "tau"),
+    ({"kind": "uniform", "a": 0.1, "A": float("nan")}, "nan is not of type 'number'", "A"),
+    ({"kind": "gamma", "n": 2, "T": np.float64("nan")}, f"{np.float64('nan')!r} is not of type 'number'", "T"),
+]
+
+
+@pytest.mark.parametrize("kernel, message, at", _BAD_KERNELS + _NAN_KERNELS,
+                         ids=_BAD_KERNEL_IDS + ["nan-tau", "nan-A", "nan-T"])
+def test_bad_kernel_fails_kernel_from_dict(kernel, message, at):
+    # the library and the CLI check a kernel by the one schema, kernels.KERNEL
+    with pytest.raises(ValueError) as e:
+        kernel_from_dict(kernel)
+    assert str(e.value) == f"invalid kernel: {message} (at {at})"
+
+
+@pytest.mark.parametrize("name, params, field", [
+    ("scalar-discrete", {"a": 1.0, "d": 0.0, "tau": float("nan")}, "tau"),
+    ("scalar-discrete", {"a": float("nan"), "d": 0.0, "tau": 0.5}, "a"),
+    ("scalar-gamma", {"a": 1.0, "n": 2, "T": float("nan")}, "T"),
+    ("pd-agent", {"a": 1, "b": 1, "k1": 1, "k2": 1.1, "T": np.float64("nan")}, "T"),
+    ("oscillator-mode", {"K": float("nan"), "d": 0.0, "kernel": {"kind": "dirac", "tau": 0.5}}, "K"),
+])
+def test_preset_nan_param_fails_preset_charfun(name, params, field):
+    with pytest.raises(ValueError) as e:
+        presets.preset_charfun(name, params)
+    assert str(e.value) == f"invalid preset {name!r} params: {params[field]!r} is not of type 'number' (at {field})"
 
 
 def test_preset_huge_int_param_exit_2_writes_nothing(tmp_path, capsys):
     # an integer no float can hold used to escape as an OverflowError (exit 1)
-    config = {"preset": "scalar-discrete", "params": {"a": 1.0, "d": 0.0, "tau": 10**400},
+    config = {"preset": "scalar-discrete", "params": {"a": 1.0, "d": 0.0, "tau": _HUGE},
               "beta": {"lo": -2, "hi": 2, "step": 0.1}}
     code, out = run(tmp_path, "scc", config)
     assert code == 2
-    assert "preset 'scalar-discrete' parameter 'tau' must be a finite real number" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"invalid preset 'scalar-discrete' params: {_HUGE} is greater than the maximum "
+                                       f"of {sys.float_info.max!r} (at tau)\n")
     assert list(out.iterdir()) == []
 
 
 def test_missing_preset_and_system_exit_2(tmp_path):
     code, _ = run(tmp_path, "scc", {"beta": {"lo": 0, "hi": 1, "step": 0.1}})
     assert code == 2
+
+
+_SYSTEM = {"Q": [[[[1.0, 0.0]]]], "B": [[[[0.0, 0.0], [1.0, 0.0]]]], "kernel": {"kind": "dirac", "tau": 0.5}}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("scc", {"beta": {"lo": -2, "hi": 2, "step": 0.1}}),
+    ("numap", {"window": [-1, 1, -1, 1], "resolution": [5, 5]}),
+])
+@pytest.mark.parametrize("source, message", [
+    ({"params": {"a": 1.0, "d": 0.0, "tau": 0.5}, "system": _SYSTEM}, "'preset' is a dependency of 'params'"),
+    ({"preset": "growth-feedback", "system": _SYSTEM}, "is valid under each of"),
+], ids=["params-beside-system", "preset-and-system"])
+def test_system_with_preset_or_params_exit_2_writes_nothing(tmp_path, capsys, command, extra, source, message):
+    # params given beside a system used to be ignored, and the run exited 0
+    code, out = run(tmp_path, command, {**source, **extra})
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_numap_unstable_product_has_no_stable_cells(tmp_path):
@@ -414,12 +474,13 @@ VALID = {
 def test_every_variant_has_a_valid_config_that_validates():
     assert {v for _, v in VALID} == set(cli._SIMULATE) | set(cli._REPRODUCE) | set(cli._CRITICAL)
     for (command, _), config in VALID.items():
-        cli._validate(command, config, cli._COMMANDS[command][0])
+        check(config, cli._COMMANDS[command][0], f"{command} config")
 
 
 def test_schemas_are_valid_json_schemas():
-    for schema, _ in cli._COMMANDS.values():
-        cli._Validator.check_schema(schema)
+    library = [KERNEL, NETWORK] + [s for _, s in presets._PRESETS.values()]
+    for schema in [s for s, _ in cli._COMMANDS.values()] + library:
+        Validator.check_schema(schema)
 
 
 @pytest.mark.parametrize("command, config", [
@@ -436,10 +497,11 @@ def test_schemas_are_valid_json_schemas():
     ("reproduce", {"figure": "fig12-heat", "n": 0}),
     ("reproduce", {"figure": "fig16-series", "N": 1}),
     ("critical", {"which": "carfollowing", "n": 2, "N": 5, "alpha": "1e400"}),
+    ("critical", {"which": "chain", "n": _HUGE, "alpha": 1.0}),
     ("critical", {"which": "mas", "a": float("nan"), "b": 1, "k1": 1, "k2": 1.1}),
     ("critical", {"which": "mas", "a": 1, "b": 1, "k1": 1, "k2": 1.1, "N": 5}),
 ], ids=["string", "bool", "short-pair", "unknown-param", "fractional-ring", "negative-delay", "zero-grid",
-        "zero-seeds", "negative-horizon", "zero-n", "one-oscillator", "1e400", "NaN", "stray-N"])
+        "zero-seeds", "negative-horizon", "zero-n", "one-oscillator", "1e400", "huge-count", "NaN", "stray-N"])
 def test_bad_variant_value_exit_2_writes_nothing(tmp_path, command, config):
     assert_rejected(tmp_path, *run_literal(tmp_path, command, config))
 
@@ -529,7 +591,7 @@ def test_valid_simulate_config_exits_cleanly(tmp_path, capsys, seed):
     # any schema-valid config exits 0, 1 or 2 without a traceback, and --out gets all or nothing
     model = sorted(cli._SIMULATE)[seed % len(cli._SIMULATE)]
     config = _draw_simulate_config(np.random.default_rng(seed), model)
-    cli._validate("simulate", config, cli._COMMANDS["simulate"][0])
+    check(config, cli._COMMANDS["simulate"][0], "simulate config")
     code, out = run(tmp_path, "simulate", config)
     assert code in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
@@ -547,7 +609,7 @@ def test_readme_examples_validate():
     runs = re.findall(r"delaystab (\w+) --config (\S+)", text)
     assert len(runs) >= 5 and {name for _, name in runs} == set(configs)
     for command, name in runs:
-        cli._validate(command, configs[name], cli._COMMANDS[command][0])
+        check(configs[name], cli._COMMANDS[command][0], f"{command} config")
 
 
 def test_blown_up_rate_json_is_strict_json(tmp_path):

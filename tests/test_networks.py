@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ import pytest
 
 from delaystab import networks as nw
 from delaystab import presets
+from delaystab.cli import main
 from delaystab.kernels import Gamma
 from delaystab.regions import membership
+from delaystab.schema import check
 
 
 def test_ring_spectrum_closed_form():
@@ -192,9 +195,7 @@ def test_validation():
 
 
 _NAN = float("nan")
-
-
-@pytest.mark.parametrize("d", [
+_BAD_NETWORKS = [
     {"kind": "ring", "n": 5.7, "alpha": 1.0},  # a fractional count
     {"kind": "ring", "n": True, "alpha": 1.0},  # a bool count
     {"kind": "ring", "n": 5, "alpha": 1.0, "extra": 1},  # an unknown field
@@ -213,15 +214,42 @@ _NAN = float("nan")
     {"kind": "torus", "n": 5, "alpha": 1.0},
     {"n": 5, "alpha": 1.0},
     "ring",
-])
+    # a whole float is no count either
+    {"kind": "ring", "n": 5.0, "alpha": 1},
+    {"kind": "random", "n": 3.0, "R": 2, "alpha": 0, "seed": 4.0},
+    # nor is an integer no float holds
+    {"kind": "ring", "n": 10**400, "alpha": 1.0},
+    {"kind": "random", "n": 4, "R": 2.0, "alpha": 0.1, "seed": 10**400},
+]
+
+
+@pytest.mark.parametrize("d", _BAD_NETWORKS)
 def test_network_from_dict_rejects(d):
     with pytest.raises(ValueError):
         nw.network_from_dict(d)
+    # the schema itself rejects it, not only a spec's own domain check
+    with pytest.raises(ValueError):
+        check(d, nw.NETWORK, "network")
 
 
-def test_network_from_dict_takes_whole_float_counts():
-    assert nw.network_from_dict({"kind": "ring", "n": 5.0, "alpha": 1}) == nw.Ring(5, 1.0)
-    assert nw.network_from_dict({"kind": "random", "n": 3.0, "R": 2, "alpha": 0, "seed": 4.0}) == nw.RandomNet(3, 2.0, 0.0, 4)
+@pytest.mark.parametrize("d", _BAD_NETWORKS)
+def test_bad_network_dict_exit_2_as_mas_network(tmp_path, d):
+    # the library and the CLI check a network by the one schema, networks.NETWORK;
+    # NaN is no JSON number, so the NaN dicts exit 2 already at the JSON parse
+    params = {"a": 1, "b": 1, "k1": 1, "k2": 1.1, "T": 0.1, "network": d}
+    (tmp_path / "cfg.json").write_text(json.dumps({"model": "mas", "params": params}))
+    code = main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_network_from_dict_takes_numpy_integers_and_tuples():
+    assert nw.network_from_dict({"kind": "ring", "n": np.int64(5), "alpha": 1}) == nw.Ring(5, 1.0)
+    d = {"kind": "random", "n": np.int32(3), "R": 2, "alpha": np.float64(0), "seed": np.int64(4)}
+    assert nw.network_from_dict(d) == nw.RandomNet(3, 2.0, 0.0, 4)
+    weights = ((0.0, 1.0), (2.0, 0.0))
+    assert nw.network_from_dict({"kind": "laplacian", "weights": weights}) == nw.Laplacian(weights)
+    assert nw.network_from_dict({"kind": "laplacian", "weights": [(0.0, 1.0), [2.0, 0.0]]}) == nw.Laplacian(weights)
 
 
 @pytest.mark.parametrize("make", [

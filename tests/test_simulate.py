@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -534,6 +535,20 @@ def test_conj_of_exp_matches_exp_of_negated_phase():
     # differ only in the sign of a zero imaginary part
     z = np.array([-0.0])
     assert np.conj(np.exp(1j * z)) == np.exp(-1j * z)
+
+
+@pytest.mark.parametrize("delays", [("constant", 1e300), ("exponential", 1e300), ("exponential", 1e16),
+                                    ("constant", sys.float_info.max), ("exponential", sys.float_info.max)])
+def test_kuramoto_delays_beyond_int64_steps_freeze_the_history(delays):
+    # every delay past the 2 s horizon reads the initial phases all run long, as a
+    # constant delay of 1e3 does; a huge mean used to wrap to INT64_MIN (a 1-step
+    # delay) or, for a constant delay, raise OverflowError
+    cfg = sim.SimConfig(dt=0.01, horizon=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = sim.simulate_kuramoto(20, 4.0, -4.0, 1.0, 0.0, ("constant", 1e3), cfg, seed=5, control_on=0.0)
+        res = sim.simulate_kuramoto(20, 4.0, -4.0, 1.0, 0.0, delays, cfg, seed=5, control_on=0.0)
+    assert np.array_equal(res.r, ref.r)
 
 
 def test_kuramoto_memory_bounded_by_window_and_one_table():
