@@ -24,11 +24,18 @@ Stitching takes the whole node table at once: one greedy match of every
 node's roots with the next node's (exact ties go to the lower root index
 of the earlier node), array tests of the links, and pointer doubling
 along the chains of matched roots.
+
+Self-intersections of the curve start from the crossings of its chords.
+All chord pairs whose bounding boxes overlap are tested at once by the
+signs of four cross products, and each crossing gives the two betas
+interpolated there.  Newton on those two curve parameters then solves
+L(beta1) = L(beta2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -89,22 +96,19 @@ class SccBranch:
         """Curve point at an arbitrary beta inside the branch's range.
 
         Seeds from linear interpolation of the stored nodes, then polishes
-        with Newton on the gain polynomial when a characteristic function is
-        attached; synthetic branches fall back to the interpolant.
+        with Newton on the gain polynomial of the attached characteristic
+        function; a branch without one raises ValueError.
         """
         b = float(beta)
+        if self.charfun is None:
+            raise ValueError("branch has no characteristic function to evaluate")
         if not (self.beta[0] <= b <= self.beta[-1]):
             raise ValueError(f"beta={b} outside branch range [{self.beta[0]}, {self.beta[-1]}]")
         seed = complex(np.interp(b, self.beta, self.L.real) + 1j * np.interp(b, self.beta, self.L.imag))
-        if self.charfun is None:
-            return seed
         return _newton_polish(self.charfun.lpoly(np.array([1j * b])), np.array([[seed]]))[0, 0]
 
     def tangent_at(self, beta: float) -> complex:
-        """Implicit-formula tangent at an arbitrary beta (traced branches)."""
-        if self.charfun is None:
-            i = min(max(int(np.searchsorted(self.beta, beta)), 1), len(self.beta) - 1)
-            return complex((self.L[i] - self.L[i - 1]) / (self.beta[i] - self.beta[i - 1]))
+        """Implicit-formula tangent at an arbitrary beta inside the branch's range."""
         L = self.eval(beta)
         dl = self.charfun.d_lambda(1j * beta, L)
         dL = self.charfun.d_L(1j * beta, L)
@@ -413,136 +417,86 @@ def crossing_at(F: CharFun, branch: SccBranch, beta_star: float) -> CrossingRepo
     return CrossingReport(beta_star, L_star, normal, -1, tp, int(np.sign(tp)))
 
 
-def _segments_intersect(p0, p1, q0, q1) -> bool:
-    def cross(o, a, b):
-        return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
-
-    d1 = cross(q0, q1, p0)
-    d2 = cross(q0, q1, p1)
-    d3 = cross(p0, p1, q0)
-    d4 = cross(p0, p1, q1)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+def _cross(a, b):
+    """Im(conj(a) b): the 2-D cross product of complex numbers (elementwise on arrays)."""
+    return a.real * b.imag - a.imag * b.real
 
 
-def _candidate_pairs(bA: SccBranch, bB: SccBranch, same: bool):
-    """Indices (i, j) of chord pairs that cross, bounding boxes prefiltered."""
-    ax0, ax1 = bA.L[:-1], bA.L[1:]
-    bx0, bx1 = bB.L[:-1], bB.L[1:]
-    a_lo_re = np.minimum(ax0.real, ax1.real)
-    a_hi_re = np.maximum(ax0.real, ax1.real)
-    a_lo_im = np.minimum(ax0.imag, ax1.imag)
-    a_hi_im = np.maximum(ax0.imag, ax1.imag)
-    b_lo_re = np.minimum(bx0.real, bx1.real)
-    b_hi_re = np.maximum(bx0.real, bx1.real)
-    b_lo_im = np.minimum(bx0.imag, bx1.imag)
-    b_hi_im = np.maximum(bx0.imag, bx1.imag)
-    out = []
-    block = 512
-    for s in range(0, len(ax0), block):
-        e = min(s + block, len(ax0))
-        overlap = (
-            (a_lo_re[s:e, None] <= b_hi_re[None, :])
-            & (a_hi_re[s:e, None] >= b_lo_re[None, :])
-            & (a_lo_im[s:e, None] <= b_hi_im[None, :])
-            & (a_hi_im[s:e, None] >= b_lo_im[None, :])
-        )
-        ii, jj = np.nonzero(overlap)
-        for i, j in zip(ii + s, jj):
-            if same and j <= i + 1:
-                continue
-            if _segments_intersect(ax0[i], ax1[i], bx0[j], bx1[j]):
-                out.append((int(i), int(j)))
-    return out
+def _boxes(L: np.ndarray):
+    """Bounding boxes (re_lo, re_hi, im_lo, im_hi) of the chords between consecutive points of L."""
+    p0, p1 = L[:-1], L[1:]
+    return [f(x(p0), x(p1)) for x in (np.real, np.imag) for f in (np.minimum, np.maximum)]
+
+
+def _chord_crossings(bA: SccBranch, bB: SccBranch, same: bool):
+    """Where a chord of bA crosses one of bB: the interpolated betas (beta1, beta2) and gains (L1, L2).
+
+    Chords p0 p1 and q0 q1 cross where each has its ends on different sides
+    of the other, at p0 + s (p1 - p0) = q0 + t (q1 - q0).  Boxes are matched
+    512 chords of bA at a time; on one branch (``same``) a chord is paired
+    only with the chords after its neighbour.
+    """
+    (alr, ahr, ali, ahi), (blr, bhr, bli, bhi) = _boxes(bA.L), _boxes(bB.L)
+    pairs = [np.argwhere((alr[s0:s0 + 512, None] <= bhr) & (ahr[s0:s0 + 512, None] >= blr)
+                         & (ali[s0:s0 + 512, None] <= bhi) & (ahi[s0:s0 + 512, None] >= bli)) + [s0, 0]
+             for s0 in range(0, len(alr), 512)]
+    i, j = np.concatenate(pairs).T
+    if same:
+        i, j = i[j > i + 1], j[j > i + 1]
+    p0, p1, q0, q1 = bA.L[i], bA.L[i + 1], bB.L[j], bB.L[j + 1]
+    d1, d2 = _cross(q1 - q0, p0 - q0), _cross(q1 - q0, p1 - q0)  # sides of p0, p1 of chord j
+    d3, d4 = _cross(p1 - p0, q0 - p0), _cross(p1 - p0, q1 - p0)  # sides of q0, q1 of chord i
+    hit = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+    i, j, p0, p1, q0, q1, d1, d2, d3, d4 = (x[hit] for x in (i, j, p0, p1, q0, q1, d1, d2, d3, d4))
+    s, t = d1 / (d1 - d2), d3 / (d3 - d4)
+    return (bA.beta[i] + s * (bA.beta[i + 1] - bA.beta[i]), bB.beta[j] + t * (bB.beta[j + 1] - bB.beta[j]),
+            p0 + s * (p1 - p0), q0 + t * (q1 - q0))
 
 
 def self_intersection(branches, tol: float = 1e-9) -> List[Tuple[float, float, complex]]:
     """Points where the curve revisits a gain: L(beta1) = L(beta2), beta1 < beta2.
 
-    Accepts one branch or a list; intersections within and across branches
-    are found from chord crossings and sharpened by bisection on the chord
-    pair, then (when a characteristic function is attached) by a Newton
-    solve on the two curve parameters.
+    Accepts one branch or a list; hits within and across branches are
+    kept when their two curve points agree to max(1e-6, ``tol``).  A branch
+    without a characteristic function gives the chord crossing itself.
     """
-    if isinstance(branches, SccBranch):
-        branches = [branches]
-    found: List[Tuple[float, float, complex]] = []
-    for ai in range(len(branches)):
-        for bi in range(ai, len(branches)):
-            bA, bB = branches[ai], branches[bi]
-            for i, j in _candidate_pairs(bA, bB, same=(ai == bi)):
-                hit = _refine_intersection(bA, i, bB, j, tol)
-                if hit is not None:
-                    found.append(hit)
-    # deduplicate near-identical parameter pairs
-    out: List[Tuple[float, float, complex]] = []
-    for b1, b2, L in sorted(found):
-        if any(abs(b1 - c1) < 1e-6 and abs(b2 - c2) < 1e-6 for c1, c2, _ in out):
-            continue
-        out.append((b1, b2, L))
+    branches = [branches] if isinstance(branches, SccBranch) else branches
+    found = []
+    for ai, bi in combinations_with_replacement(range(len(branches)), 2):
+        bA, bB = branches[ai], branches[bi]
+        for b1, b2, l1, l2 in zip(*(x.tolist() for x in _chord_crossings(bA, bB, same=(ai == bi)))):
+            if bA.charfun is not None and bB.charfun is not None:
+                b1, b2 = _newton_pair(bA, b1, bB, b2) or (b1, b2)
+                l1, l2 = bA.eval(b1), bB.eval(b2)
+            if bA is bB:
+                b1, b2 = min(b1, b2), max(b1, b2)
+            if abs(l1 - l2) <= max(1e-6, tol) and not (bA is bB and b2 - b1 < 1e-9):
+                found.append((b1, b2, 0.5 * (l1 + l2)))
+    out: List[Tuple[float, float, complex]] = []  # near-identical parameter pairs are kept once
+    for hit in sorted(found, key=lambda h: h[:2]):
+        if not any(abs(hit[0] - c[0]) < 1e-6 and abs(hit[1] - c[1]) < 1e-6 for c in out):
+            out.append(hit)
     return out
 
 
-def _refine_intersection(bA: SccBranch, i: int, bB: SccBranch, j: int, tol: float):
-    a0, a1 = bA.beta[i], bA.beta[i + 1]
-    b0, b1 = bB.beta[j], bB.beta[j + 1]
-    pa0, pa1 = complex(bA.L[i]), complex(bA.L[i + 1])
-    pb0, pb1 = complex(bB.L[j]), complex(bB.L[j + 1])
-    for _ in range(200):
-        if max(abs(pa1 - pa0), abs(pb1 - pb0)) < max(tol, 1e-12):
-            break
-        if abs(pa1 - pa0) >= abs(pb1 - pb0):
-            am = 0.5 * (a0 + a1)
-            pam = bA.eval(am)
-            if _segments_intersect(pa0, pam, pb0, pb1):
-                a1, pa1 = am, pam
-            elif _segments_intersect(pam, pa1, pb0, pb1):
-                a0, pa0 = am, pam
-            else:
-                a0, a1, pa0, pa1 = a0, am, pa0, pam  # crossing lost to curvature; shrink anyway
-        else:
-            bm = 0.5 * (b0 + b1)
-            pbm = bB.eval(bm)
-            if _segments_intersect(pa0, pa1, pb0, pbm):
-                b1, pb1 = bm, pbm
-            elif _segments_intersect(pa0, pa1, pbm, pb1):
-                b0, pb0 = bm, pbm
-            else:
-                b0, b1, pb0, pb1 = b0, bm, pb0, pbm
-    beta1 = 0.5 * (a0 + a1)
-    beta2 = 0.5 * (b0 + b1)
-    if bA.charfun is not None:
-        refined = _newton_pair(bA, beta1, bB, beta2)
-        if refined is not None:
-            beta1, beta2 = refined
-    L1, L2 = bA.eval(beta1), bB.eval(beta2)
-    if abs(L1 - L2) > max(1e-6, tol):
-        return None
-    if bA is bB and beta2 < beta1:
-        beta1, beta2 = beta2, beta1
-    if bA is bB and abs(beta2 - beta1) < 1e-9:
-        return None
-    return (float(beta1), float(beta2), 0.5 * (L1 + L2))
-
-
 def _newton_pair(bA: SccBranch, beta1: float, bB: SccBranch, beta2: float):
-    lo1, hi1 = bA.beta[0], bA.beta[-1]
-    lo2, hi2 = bB.beta[0], bB.beta[-1]
+    """Newton on L_A(beta1) = L_B(beta2), each beta clipped to its branch's range.
+
+    A step solves t1 d1 - t2 d2 = L_B - L_A for real d1, d2, with t1, t2 the
+    tangents, by crossing it with t2 and with t1.  None when a tangent is
+    undefined or the two are parallel.
+    """
     for _ in range(40):
         L1, L2 = bA.eval(beta1), bB.eval(beta2)
         g = L1 - L2
         if abs(g) < 1e-12 * max(1.0, abs(L1)):
             return beta1, beta2
-        t1 = bA.tangent_at(beta1)
-        t2 = bB.tangent_at(beta2)
+        t1, t2 = bA.tangent_at(beta1), bB.tangent_at(beta2)
         if not (np.isfinite(t1) and np.isfinite(t2)):
             return None
-        J = np.array([[t1.real, -t2.real], [t1.imag, -t2.imag]])
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+        det = _cross(t1, t2)
         if abs(det) < 1e-14:
             return None
-        rhs = -np.array([g.real, g.imag])
-        d1 = (rhs[0] * J[1, 1] - rhs[1] * J[0, 1]) / det
-        d2 = (J[0, 0] * rhs[1] - J[1, 0] * rhs[0]) / det
-        beta1 = float(np.clip(beta1 + d1, lo1, hi1))
-        beta2 = float(np.clip(beta2 + d2, lo2, hi2))
+        beta1 = float(np.clip(beta1 + _cross(t2, g) / det, bA.beta[0], bA.beta[-1]))
+        beta2 = float(np.clip(beta2 + _cross(t1, g) / det, bB.beta[0], bB.beta[-1]))
     return beta1, beta2

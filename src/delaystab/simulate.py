@@ -13,6 +13,7 @@ The population's working set is that window, one N x N table of int64
 offsets into it and one block of gathered rows (``_GATHER_BYTES``): the
 pairwise delays are sampled into the table's buffer and rounded to steps
 there, and the field is gathered and summed a block of rows at a time.
+A constant delay needs no table: every oscillator reads one window row.
 A right-hand side f returns a new array, which the step combines with the
 other stages in place.  Batches of runs with several state components
 (the Gamma chain and car-following) are column-major, so every operation
@@ -624,9 +625,10 @@ def simulate_kuramoto(
     and counted.  The feedback is off before ``control_on``; delayed phase
     lookups reaching before t = 0 use the initial phases frozen.  The phase
     history is a window of O(max delay x N) values, not O(horizon x N); with
-    it the run holds one N x N int64 table (the delays in steps, then their
-    offsets into the window) and one block of gathered rows of at most
-    ``_GATHER_BYTES``.
+    it an exponential run holds one N x N int64 table (the delays in steps,
+    then their offsets into the window) and one block of gathered rows of
+    at most ``_GATHER_BYTES``.  A constant delay needs no table: it is one
+    step count, and every oscillator reads the same window row.
     """
     if N < 2:
         raise ValueError("need at least two oscillators")
@@ -650,8 +652,8 @@ def simulate_kuramoto(
     # delays are capped there before the int64 cast: none overflows it, and
     # _kuramoto_run caps the steps there anyway
     t_max = n_steps * dt
-    if kind == "constant":
-        M = np.full((N, N), max(1, round(min(value, t_max) / dt)), dtype=np.int64)
+    if kind == "constant":  # one step count for every pair: no table
+        M = np.array(max(1, round(min(value, t_max) / dt)), dtype=np.int64)
     elif kind == "exponential":
         cap = -value * math.log(1e-3)  # 99.9th percentile
         taus = rng.exponential(value, size=(N, N))
@@ -693,12 +695,14 @@ def _kuramoto_run(theta, omega, M, K, C, S, dt, n_steps, control_on, snapshot_ev
     delay in steps capped at ``n_steps``: row P + s - base holds step s.  The
     first P + 1 rows start at the initial phases, so lookups reaching before
     t = 0 read them frozen; when the window is full its last P rows (all a
-    lookup can still reach) move to the front.  The delayed field is then
-    one flat gather: pair (i, j) at step k reads element (k - base) N +
-    B[i, j] of the flattened window, with B = (P - M[i, j]) N + j.  The
-    int64 table M is overwritten with B.  The gather fills a reused block of
-    rows, of at most ``_GATHER_BYTES``; each row is summed whole, so the
-    field is the same, bit for bit, as from one N x N gather.
+    lookup can still reach) move to the front.  An N x N table M of delays
+    makes the delayed field one flat gather: pair (i, j) at step k reads
+    element (k - base) N + B[i, j] of the flattened window, with B = (P -
+    M[i, j]) N + j.  The int64 table M is overwritten with B.  The gather
+    fills a reused block of rows, of at most ``_GATHER_BYTES``; each row is
+    summed whole, so the field is the same, bit for bit, as from one N x N
+    gather.  A 0-d M, one delay for every pair, reads one window row e per
+    step, and e.sum() - e equals the table's sums bit for bit.
     """
     N = len(theta)
     P = int(min(M.max(), n_steps))
@@ -709,8 +713,9 @@ def _kuramoto_run(theta, omega, M, K, C, S, dt, n_steps, control_on, snapshot_ev
     B = M
     np.minimum(B, P, out=B)
     np.subtract(P, B, out=B)
-    B *= N
-    B += np.arange(N)
+    if B.ndim:
+        B *= N
+        B += np.arange(N)
     rows = max(1, min(N, _GATHER_BYTES // (16 * N)))
     E = np.empty((rows, N), dtype=complex)
     sums = np.empty(N, dtype=complex)
@@ -727,7 +732,10 @@ def _kuramoto_run(theta, omega, M, K, C, S, dt, n_steps, control_on, snapshot_ev
     th = theta
     for k in range(n_steps):
         t = k * dt
-        if t >= control_on - 1e-12:
+        if t >= control_on - 1e-12 and not B.ndim:
+            e = EH[k - base + B]  # the one delayed row every oscillator reads
+            eta = (e.sum() - e) / N
+        elif t >= control_on - 1e-12:
             src = flat[(k - base) * N :]
             for i0 in range(0, N, rows):
                 i1 = min(i0 + rows, N)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, fsolve
 
 from delaystab import presets, scc
 from delaystab.charfun import CharFun, build_charfun
@@ -240,6 +240,47 @@ def test_self_intersection_gamma_n2():
     best = min(hits, key=lambda h: abs(h[1] - beta_star))
     assert best[1] == pytest.approx(beta_star, abs=1e-6)
     assert best[0] == pytest.approx(-beta_star, abs=1e-6)
+
+
+def test_self_intersection_finds_every_hit():
+    # z' = z + L z(t - 1.5): L(beta) = (i beta - 1) e^{1.5 i beta} is real where
+    # tan(1.5 beta) = beta, and L(-beta) = conj(L(beta)), so each positive root
+    # beta_k is one hit (-beta_k, beta_k); five of them lie below 12
+    F = presets.scalar_discrete(1.0, 0.0, 1.5)
+    brs = trace(F, -12.0, 12.0, 0.05, window=(-13, 13, -13, 13))
+    roots = [brentq(lambda x, k=k: 1.5 * x - np.arctan(x) - k * np.pi, 0.1, 12.0, xtol=1e-14) for k in range(1, 6)]
+    assert roots[-1] < 12.0 < brentq(lambda x: 1.5 * x - np.arctan(x) - 6 * np.pi, 0.1, 20.0)
+    hits = self_intersection(brs)
+    assert len(hits) == 5
+    for (b1, b2, L), bk in zip(hits, roots[::-1]):
+        Lk = (1j * bk - 1) * np.exp(1.5j * bk)
+        assert b1 == pytest.approx(-bk, abs=1e-9) and b2 == pytest.approx(bk, abs=1e-9)
+        assert abs(Lk.imag) < 1e-12 and abs(L - Lk) < 1e-9
+
+
+def test_self_intersection_across_branches():
+    # drift-difference: L(beta) = (i beta - c)/(e^{-i beta} - 1) with
+    # c = 0.1 (1 + i); branches 0 and 1 meet near beta = -7.626 and -0.026
+    F = presets.drift_difference_coupling()
+    brs = trace(F, -13.0, 13.0, 0.05, window=(-1, 1, -1, 1))
+    c = 0.1 * (1 + 1j)
+
+    def gap(b):
+        g = (1j * b[0] - c) / (np.exp(-1j * b[0]) - 1) - (1j * b[1] - c) / (np.exp(-1j * b[1]) - 1)
+        return [g.real, g.imag]
+
+    b1, b2 = fsolve(gap, [-7.6, -0.03], xtol=1e-14)
+    hit = min(self_intersection(brs), key=lambda h: abs(h[0] - b1))
+    assert brs[0].beta[0] <= hit[0] <= brs[0].beta[-1] and brs[1].beta[0] <= hit[1] <= brs[1].beta[-1]
+    assert hit[0] == pytest.approx(b1, abs=1e-9) and hit[1] == pytest.approx(b2, abs=1e-9)
+    assert abs(hit[2] - (1j * b1 - c) / (np.exp(-1j * b1) - 1)) < 1e-9
+
+
+def test_branch_without_charfun_cannot_evaluate():
+    br = synthetic_circle()
+    for f in (br.eval, br.tangent_at):
+        with pytest.raises(ValueError):
+            f(1.0)
 
 
 def test_self_intersection_circle():

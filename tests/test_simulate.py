@@ -580,6 +580,47 @@ def test_kuramoto_history_memory_bounded_by_delay():
     assert peak < 1.5e6
 
 
+# N = 800 gathers the table in ragged blocks of 81 rows
+@pytest.mark.parametrize("N", [2, 37, 800])
+@pytest.mark.parametrize("tau", [0.3, 50.0])
+def test_kuramoto_constant_delay_matches_full_table(monkeypatch, N, tau):
+    # a constant delay reaches _kuramoto_run as one 0-d step count; the same
+    # count spread over an explicit N x N table gives the same run bit for bit
+    cfg = sim.SimConfig(dt=0.01, horizon=1.0)
+    real = sim._kuramoto_run
+    shapes = []
+
+    def spy(theta, omega, M, *rest):
+        shapes.append(M.shape)
+        return real(theta, omega, M, *rest)
+
+    def with_table(theta, omega, M, *rest):
+        return real(theta, omega, np.full((len(theta), len(theta)), M), *rest)
+
+    def run(patch):
+        monkeypatch.setattr(sim, "_kuramoto_run", patch)
+        return sim.simulate_kuramoto(N, 4.0, -1.0, -3.0, 2.5, ("constant", tau), cfg, seed=7,
+                                     control_on=0.3, snapshot_every=7)
+
+    new, ref = run(spy), run(with_table)
+    assert shapes == [()]
+    assert np.array_equal(new.r, ref.r)
+    assert np.array_equal(new.phases, ref.phases)
+
+
+def test_kuramoto_constant_delay_memory_holds_no_table():
+    # N = 2000: an N x N int64 table alone would take 32 MB
+    N, cfg = 2000, sim.SimConfig(dt=0.01, horizon=2.0)
+    window = 2 * (round(0.5 / cfg.dt) + 1) * N * 16
+    tracemalloc.start()
+    try:
+        sim.simulate_kuramoto(N, 4.0, -1.0, -3.0, 2.5, ("constant", 0.5), cfg, seed=42, control_on=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < window + 2 * sim._GATHER_BYTES + (1 << 20)
+
+
 def test_fig16_series_csvs_match_reference_loop(tmp_path, monkeypatch):
     cfg_path = tmp_path / "fig16.json"
     cfg_path.write_text(json.dumps({"figure": "fig16-series", "case": "a", "N": 40, "horizon": 12.0}))
