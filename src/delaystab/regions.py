@@ -12,7 +12,8 @@ contour, F on its points is one matrix product per block of gains
 or unresolved) instead of an exception; ``nu_contour`` is a batch of one.
 
 NU is constant between crossing curves, so a window map needs one count per
-connected component: cells near the curves are masked out, the rest are
+connected component: cells whose centre lies within half a cell diagonal of
+the curves (on any cell aspect ratio) are masked out, the rest are
 flood-filled, and each component is labeled by the first of its five most
 curve-distant cells that is off the curves, all components in one batch.
 A full-oracle mode counts every open cell in one batch as a cross-check.
@@ -20,7 +21,9 @@ A full-oracle mode counts every open cell in one batch as a cross-check.
 The grid passes are whole-array numpy: the curve segments are sub-sampled
 in one flat layout, components come from root hooking with pointer jumping
 and are numbered by their first row-major cell, and the curve distance
-used to pick a component's cell is a two-sweep L1 distance transform.
+used to pick a component's cell is a two-sweep L1 distance transform.  One
+neighbourhood query, ``_cells_near``, serves both the masking and the search
+for the curve nodes that border each stable component.
 """
 
 from __future__ import annotations
@@ -200,22 +203,55 @@ class NuMap:
     component_ids: np.ndarray = field(default=None, repr=False)
 
     def cell_centers(self):
-        re_lo, re_hi, im_lo, im_hi = self.window
-        nx, ny = self.resolution
-        xs = re_lo + (np.arange(nx) + 0.5) * (re_hi - re_lo) / nx
-        ys = im_lo + (np.arange(ny) + 0.5) * (im_hi - im_lo) / ny
-        return xs, ys
+        return _grid(self.window, *self.resolution)[2:]
+
+
+def _grid(window, nx, ny):
+    """Cell sides dx, dy and cell centres xs, ys of the nx x ny grid over the window."""
+    re_lo, re_hi, im_lo, im_hi = window
+    xs = re_lo + (np.arange(nx) + 0.5) * (re_hi - re_lo) / nx
+    ys = im_lo + (np.arange(ny) + 0.5) * (im_hi - im_lo) / ny
+    return (re_hi - re_lo) / nx, (im_hi - im_lo) / ny, xs, ys
+
+
+def _cells_near(P: np.ndarray, window, nx, ny, reach: float):
+    """The grid cells around the points ``P``, in blocks ``(sel, iy, ix, ok)``.
+
+    Row k of ``iy, ix`` holds the cells within int(reach / d + 0.5) rows and
+    columns of the cell nearest to ``P[sel[k]]``, clipped to the grid, and
+    ``ok`` marks those on the grid whose centre lies within ``reach`` of the
+    point.  A centre o cells away lies at least (|o| - 1/2) d from the point,
+    so no cell within reach is left out.  Points with no cell in range are
+    skipped, and the blocks bound the memory at about 65536 cells each.
+    """
+    dx, dy, xs, ys = _grid(window, nx, ny)
+    rx, ry = int(reach / dx + 0.5), int(reach / dy + 0.5)
+    ox, oy = (o.ravel() for o in np.meshgrid(np.arange(-rx, rx + 1), np.arange(-ry, ry + 1)))
+    cx = np.rint((P.real - window[0]) / dx - 0.5)
+    cy = np.rint((P.imag - window[2]) / dy - 0.5)
+    todo = np.nonzero((cx >= -rx) & (cx < nx + rx) & (cy >= -ry) & (cy < ny + ry))[0]
+    block = max(1, 65536 // len(ox))
+    for s in range(0, len(todo), block):
+        sel = todo[s : s + block]
+        ix = cx[sel, None].astype(np.intp) + ox
+        iy = cy[sel, None].astype(np.intp) + oy
+        ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+        ix, iy = np.clip(ix, 0, nx - 1), np.clip(iy, 0, ny - 1)
+        ok &= np.abs(P[sel, None] - (xs[ix] + 1j * ys[iy])) <= reach
+        yield sel, iy, ix, ok
 
 
 def _rasterize_sentinels(branches, window, nx, ny) -> np.ndarray:
-    """Cells whose center lies within half a cell diagonal of a traced curve.
+    """Cells whose centre lies within half a cell diagonal of a traced curve.
 
     Each curve segment near the window is sub-sampled at a quarter of the
     smaller cell side; all segments of all branches share one flat layout,
     whose points are those of ``np.linspace(0, 1, n_sub + 1)`` per segment.
+    Every cell that ``_cells_near`` finds within half a diagonal of a
+    sampled point is marked, whatever the aspect ratio of the cells.
     """
     re_lo, re_hi, im_lo, im_hi = window
-    dx, dy = (re_hi - re_lo) / nx, (im_hi - im_lo) / ny
+    dx, dy = _grid(window, nx, ny)[:2]
     half_diag = 0.5 * np.hypot(dx, dy)
     step = 0.25 * min(dx, dy)
     sentinel = np.zeros((ny, nx), dtype=bool)
@@ -230,8 +266,6 @@ def _rasterize_sentinels(branches, window, nx, ny) -> np.ndarray:
         | (np.minimum(p0.imag, p1.imag) > im_hi + pad)
     )
     p0, p1 = p0[~far], p1[~far]
-    if not len(p0):
-        return sentinel
     n_sub = np.maximum(np.ceil(np.abs(p1 - p0) / step).astype(np.intp), 1)
     counts = n_sub + 1
     seg = np.repeat(np.arange(len(p0)), counts)
@@ -239,17 +273,8 @@ def _rasterize_sentinels(branches, window, nx, ny) -> np.ndarray:
     ts = i * (1.0 / n_sub)[seg]
     ts[i == n_sub[seg]] = 1.0  # linspace pins its endpoint
     pts = p0[seg] + (p1 - p0)[seg] * ts
-    cx = np.round((pts.real - re_lo) / dx - 0.5).astype(int)
-    cy = np.round((pts.imag - im_lo) / dy - 0.5).astype(int)
-    for ox in (-1, 0, 1):
-        for oy in (-1, 0, 1):
-            ix, iy = cx + ox, cy + oy
-            ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-            ix, iy = ix[ok], iy[ok]
-            cex = re_lo + (ix + 0.5) * dx
-            cey = im_lo + (iy + 0.5) * dy
-            close = np.hypot(cex - pts.real[ok], cey - pts.imag[ok]) <= half_diag
-            sentinel[iy[close], ix[close]] = True
+    for _, iy, ix, ok in _cells_near(pts, window, nx, ny, half_diag):
+        sentinel[iy[ok], ix[ok]] = True
     return sentinel
 
 
@@ -353,10 +378,7 @@ def nu_map(
         raise OnSccError("no labelable cell in the window; refine the resolution")
     rank = _bfs_rank(sentinel) if sentinel.any() else np.ones((ny, nx), dtype=int)
 
-    xs, ys = (
-        re_lo + (np.arange(nx) + 0.5) * (re_hi - re_lo) / nx,
-        im_lo + (np.arange(ny) + 0.5) * (im_hi - im_lo) / ny,
-    )
+    xs, ys = _grid(window, nx, ny)[2:]
     gains = xs[None, :] + 1j * ys[:, None]
     cells = [np.nonzero(comp == cid) for cid in range(n_comp)]
     cands = []  # each component's five most curve-distant cells, farthest first
@@ -414,17 +436,13 @@ class StabilityComponent:
 def stability_region(numap: NuMap) -> List[StabilityComponent]:
     """Extract the NU = 0 components and the curve segments bordering them."""
     nx, ny = numap.resolution
-    re_lo, re_hi, im_lo, im_hi = numap.window
-    dx, dy = (re_hi - re_lo) / nx, (im_hi - im_lo) / ny
-    cell_diag = np.hypot(dx, dy)
-    xs, ys = numap.cell_centers()
+    reach = 1.5 * np.hypot(*_grid(numap.window, nx, ny)[:2])
 
     out: List[StabilityComponent] = []
     comp = numap.component_ids
     for cid in np.unique(comp[comp >= 0]):
         cells = np.argwhere(comp == cid)
-        iy, ix = cells[0]
-        if numap.labels[iy, ix] != 0:
+        if numap.labels[tuple(cells[0])] != 0:
             continue
         clipped = bool(
             np.any(cells[:, 0] == 0)
@@ -433,46 +451,14 @@ def stability_region(numap: NuMap) -> List[StabilityComponent]:
             or np.any(cells[:, 1] == nx - 1)
         )
         polylines = []
-        for br in numap.branches:
-            near = _near_cells(br.L, comp == cid, xs, ys, (re_lo, im_lo, dx, dy), 1.5 * cell_diag)
-            if not near.any():
-                continue
+        for br in numap.branches:  # the runs of at least two nodes near the component
+            near = np.zeros(len(br.L), dtype=bool)
+            for sel, iy, ix, ok in _cells_near(br.L, numap.window, nx, ny, reach):
+                near[sel] = (ok & (comp[iy, ix] == cid)).any(axis=1)
             runs = np.split(np.arange(len(near)), np.nonzero(np.diff(near))[0] + 1)
-            for run in runs:
-                if near[run[0]] and len(run) >= 2:
-                    polylines.append(br.L[run].copy())
+            polylines += [br.L[run] for run in runs if len(run) >= 2 and near[run[0]]]
         out.append(StabilityComponent(cells=cells, clipped=clipped, boundary=polylines))
     return out
-
-
-def _near_cells(L: np.ndarray, inside: np.ndarray, xs, ys, grid, reach: float) -> np.ndarray:
-    """Whether each gain in ``L`` lies within ``reach`` of a center of an ``inside`` cell.
-
-    Only the grid neighbourhood of each gain is searched: cells within
-    ceil(reach / dx) + 1 columns and ceil(reach / dy) + 1 rows of its nearest
-    cell, a superset of the cells whose centers can lie within ``reach``.
-    Memory stays O(block) instead of O(nodes x cells).
-    """
-    re_lo, im_lo, dx, dy = grid
-    ny, nx = inside.shape
-    rx = int(np.ceil(reach / dx)) + 1
-    ry = int(np.ceil(reach / dy)) + 1
-    ox, oy = (o.ravel() for o in np.meshgrid(np.arange(-rx, rx + 1), np.arange(-ry, ry + 1)))
-    cx = np.rint((L.real - re_lo) / dx - 0.5)
-    cy = np.rint((L.imag - im_lo) / dy - 0.5)
-    nodes = np.nonzero((cx >= -rx) & (cx < nx + rx) & (cy >= -ry) & (cy < ny + ry))[0]
-    near = np.zeros(len(L), dtype=bool)
-    block = max(1, 65536 // len(ox))
-    for s in range(0, len(nodes), block):
-        sel = nodes[s : s + block]
-        ix = cx[sel, None].astype(np.intp) + ox
-        iy = cy[sel, None].astype(np.intp) + oy
-        ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-        ix, iy = np.clip(ix, 0, nx - 1), np.clip(iy, 0, ny - 1)
-        ok &= inside[iy, ix]
-        d = np.abs(L[sel, None] - (xs[ix] + 1j * ys[iy]))
-        near[sel] = np.any(ok & (d <= reach), axis=1)
-    return near
 
 
 _MAX_DOUBLINGS = 6  # beta-range doublings before coverage is given up

@@ -57,6 +57,7 @@ _POLAR_RADIUS_FLOOR = 1e-12
 _MAX_DEPTH = 12  # bisection levels below the base step
 _MAX_NODES = 200_000
 _RESIDUAL_TOL = 1e-9  # per node, relative to the size of F's terms (at least 1)
+_HIT_TOL = 1e-6  # largest gap |L1 - L2| between the two curve points of a kept hit
 
 
 class IdenticallySingularError(ValueError):
@@ -109,12 +110,15 @@ class SccBranch:
 
     def tangent_at(self, beta: float) -> complex:
         """Implicit-formula tangent at an arbitrary beta inside the branch's range."""
-        L = self.eval(beta)
-        dl = self.charfun.d_lambda(1j * beta, L)
-        dL = self.charfun.d_L(1j * beta, L)
-        if dL == 0.0:
-            return complex(np.nan, np.nan)
-        return -1j * dl / dL
+        return _tangent(self.charfun, beta, self.eval(beta))
+
+
+def _tangent(F: CharFun, beta: float, L: complex) -> complex:
+    """dL/dbeta = -i F_lam / F_L at the curve point L of frequency beta; NaN where F_L = 0."""
+    dL = F.d_L(1j * beta, L)
+    if dL == 0.0:
+        return complex(np.nan, np.nan)
+    return -1j * F.d_lambda(1j * beta, L) / dL
 
 
 @dataclass
@@ -453,11 +457,11 @@ def _chord_crossings(bA: SccBranch, bB: SccBranch, same: bool):
             p0 + s * (p1 - p0), q0 + t * (q1 - q0))
 
 
-def self_intersection(branches, tol: float = 1e-9) -> List[Tuple[float, float, complex]]:
+def self_intersection(branches) -> List[Tuple[float, float, complex]]:
     """Points where the curve revisits a gain: L(beta1) = L(beta2), beta1 < beta2.
 
     Accepts one branch or a list; hits within and across branches are
-    kept when their two curve points agree to max(1e-6, ``tol``).  A branch
+    kept when their two curve points agree to ``_HIT_TOL``.  A branch
     without a characteristic function gives the chord crossing itself.
     """
     branches = [branches] if isinstance(branches, SccBranch) else branches
@@ -470,7 +474,7 @@ def self_intersection(branches, tol: float = 1e-9) -> List[Tuple[float, float, c
                 l1, l2 = bA.eval(b1), bB.eval(b2)
             if bA is bB:
                 b1, b2 = min(b1, b2), max(b1, b2)
-            if abs(l1 - l2) <= max(1e-6, tol) and not (bA is bB and b2 - b1 < 1e-9):
+            if abs(l1 - l2) <= _HIT_TOL and not (bA is bB and b2 - b1 < 1e-9):
                 found.append((b1, b2, 0.5 * (l1 + l2)))
     out: List[Tuple[float, float, complex]] = []  # near-identical parameter pairs are kept once
     for hit in sorted(found, key=lambda h: h[:2]):
@@ -491,7 +495,7 @@ def _newton_pair(bA: SccBranch, beta1: float, bB: SccBranch, beta2: float):
         g = L1 - L2
         if abs(g) < 1e-12 * max(1.0, abs(L1)):
             return beta1, beta2
-        t1, t2 = bA.tangent_at(beta1), bB.tangent_at(beta2)
+        t1, t2 = _tangent(bA.charfun, beta1, L1), _tangent(bB.charfun, beta2, L2)
         if not (np.isfinite(t1) and np.isfinite(t2)):
             return None
         det = _cross(t1, t2)

@@ -1,6 +1,7 @@
 import functools
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -245,9 +246,13 @@ def test_stability_region_memory_bounded():
 # ------------------------------------------------ the per-cell loops as references
 
 def _reference_rasterize(branches, window, nx, ny):
-    """Sentinel cells, one curve segment and one 3x3 offset at a time."""
+    """Sentinel cells, one curve segment at a time: every cell whose centre lies
+    within half a cell diagonal of a sampled point, by brute force over the
+    rows and columns whose centres are that close in one coordinate."""
     re_lo, re_hi, im_lo, im_hi = window
     dx, dy = (re_hi - re_lo) / nx, (im_hi - im_lo) / ny
+    xs = re_lo + (np.arange(nx) + 0.5) * (re_hi - re_lo) / nx
+    ys = im_lo + (np.arange(ny) + 0.5) * (im_hi - im_lo) / ny
     half_diag = 0.5 * np.hypot(dx, dy)
     step = 0.25 * min(dx, dy)
     sentinel = np.zeros((ny, nx), dtype=bool)
@@ -261,21 +266,13 @@ def _reference_rasterize(branches, window, nx, ny):
             if max(p0.imag, p1.imag) < im_lo - pad or min(p0.imag, p1.imag) > im_hi + pad:
                 continue
             n_sub = max(int(np.ceil(abs(p1 - p0) / step)), 1)
-            ts = np.linspace(0.0, 1.0, n_sub + 1)
-            pts = p0 + (p1 - p0) * ts
-            cx = (pts.real - re_lo) / dx - 0.5
-            cy = (pts.imag - im_lo) / dy - 0.5
-            for ox in (-1, 0, 1):
-                for oy in (-1, 0, 1):
-                    ix = np.round(cx).astype(int) + ox
-                    iy = np.round(cy).astype(int) + oy
-                    ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-                    if not np.any(ok):
-                        continue
-                    cex = re_lo + (ix[ok] + 0.5) * dx
-                    cey = im_lo + (iy[ok] + 0.5) * dy
-                    close = np.hypot(cex - pts.real[ok], cey - pts.imag[ok]) <= half_diag
-                    sentinel[iy[ok][close], ix[ok][close]] = True
+            pts = p0 + (p1 - p0) * np.linspace(0.0, 1.0, n_sub + 1)
+            cols = np.nonzero((np.abs(xs[None, :] - pts.real[:, None]) <= half_diag).any(axis=0))[0]
+            rows = np.nonzero((np.abs(ys[None, :] - pts.imag[:, None]) <= half_diag).any(axis=0))[0]
+            for iy in rows:
+                for ix in cols:
+                    if np.any(np.abs(pts - complex(xs[ix], ys[iy])) <= half_diag):
+                        sentinel[iy, ix] = True
     return sentinel
 
 
@@ -372,6 +369,47 @@ def test_pd_agent_grid_passes_match_references(T):
         mo = nu_map(F, window, (71, 61), branches, full_oracle=True)
         assert np.array_equal(mo.labels, _reference_full_oracle(F, mo))
         assert np.array_equal(mo.labels, nu_map(F, window, (71, 61), branches).labels)
+
+
+@pytest.mark.parametrize("res", [(5, 41), (41, 5)], ids=["wide-cells", "tall-cells"])
+def test_sentinel_masks_every_cell_within_half_a_diagonal_on_thin_cells(res):
+    # a straight curve along the long cell side on a square window: half a
+    # diagonal spans four cells across the short side, more than a 3x3 window
+    nx, ny = res
+    window = (-1.0, 1.0, -1.0, 1.0)
+    t = np.linspace(-1.5, 1.5, 301)
+    L = t + 0.123j if nx < ny else 0.123 + 1j * t
+    branch = SimpleNamespace(L=L)  # the masking reads only the gains
+    xs, ys = regions._grid(window, nx, ny)[2:]
+    centres = xs[None, :] + 1j * ys[:, None]
+    half_diag = 0.5 * np.hypot(2.0 / nx, 2.0 / ny)
+    sentinel = regions._rasterize_sentinels([branch], window, nx, ny)
+    near_node = (np.abs(centres[..., None] - L) <= half_diag).any(axis=-1)
+    assert near_node.sum(axis=0 if nx < ny else 1).max() > 3
+    assert sentinel[near_node].all()
+    # every masked centre lies within half a diagonal of the line itself
+    off_line = np.abs(centres.imag - 0.123) if nx < ny else np.abs(centres.real - 0.123)
+    assert (off_line[sentinel] <= half_diag).all()
+
+
+@pytest.mark.parametrize("res", [(7, 13), (13, 7), (5, 41), (20, 20)])
+@pytest.mark.parametrize("sides", [0.3, 0.7, 1.0, 1.6, 2.5, 4.0])
+def test_cells_near_matches_brute_force(res, sides):
+    nx, ny = res
+    window = (-1.0, 2.0, -0.5, 0.5)
+    xs, ys = regions._grid(window, nx, ny)[2:]
+    centres = xs[None, :] + 1j * ys[:, None]
+    rng = np.random.default_rng(nx * 100 + ny)
+    P = rng.uniform(-1.6, 2.6, 400) + 1j * rng.uniform(-0.8, 0.8, 400)
+    for reach in (sides * 3.0 / nx, sides * 1.0 / ny):
+        got = np.zeros((len(P), ny, nx), dtype=bool)
+        for sel, iy, ix, ok in regions._cells_near(P, window, nx, ny, reach):
+            assert iy.shape == ix.shape == ok.shape == (len(sel), iy.shape[1])
+            rows = np.broadcast_to(sel[:, None], iy.shape)
+            got[rows[ok], iy[ok], ix[ok]] = True
+        want = np.abs(centres[None] - P[:, None, None]) <= reach
+        assert want.any() and not want.all()
+        assert np.array_equal(got, want)
 
 
 def _spiral(ny, nx):

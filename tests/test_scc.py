@@ -285,7 +285,7 @@ def test_branch_without_charfun_cannot_evaluate():
 
 def test_self_intersection_circle():
     br = synthetic_circle()
-    hits = self_intersection(br, tol=1e-6)
+    hits = self_intersection(br)
     assert hits, "periodic curve must self-intersect"
     for b1, b2, L in hits:
         assert b2 - b1 == pytest.approx(2 * np.pi, abs=1e-3)
