@@ -4,23 +4,25 @@ Covers the coupling matrices of the three applications: directed ring and
 leader chain for velocity-matching vehicles, arbitrary row-sum-zero
 weighted couplings, and noise-perturbed self-negative feedback J = -R I +
 alpha Xi with i.i.d. uniform entries.  Ring and chain spectra are closed
-form; the rest come from LAPACK.  Critical delays and the
-critical noise strength follow from the polar geometry of the relevant
-crossing curves.
+form; the rest come from LAPACK.  Critical delays have closed forms; they
+and the critical noise strength are also read off the traced crossing
+curves (``scc.curve_zeros``) over a beta range certified by ``radius_bound``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
 from . import presets
-from .eigen import eigvals
+from .charfun import CharFun, radius_bound
+from .eigen import eigvals, poly_roots
 from .kernels import Gamma
-from .regions import Membership, OnSccError, membership, nu_contour
+from .regions import Membership, membership
+from .scc import SccBranch, crossing_at, curve_zeros, trace
 from .schema import NONNEG, POS, check, integer, obj, tagged
 
 __all__ = [
@@ -127,14 +129,11 @@ NetworkSpec = Union[Ring, Chain, Laplacian, RandomNet]
 
 
 def network_matrix(net: NetworkSpec) -> np.ndarray:
-    if isinstance(net, Ring):
+    if isinstance(net, (Ring, Chain)):
         J = -net.alpha * np.eye(net.N)
         J[np.arange(net.N), (np.arange(net.N) + 1) % net.N] = net.alpha
-        return J
-    if isinstance(net, Chain):
-        J = -net.alpha * np.eye(net.N)
-        J[np.arange(net.N), (np.arange(net.N) + 1) % net.N] = net.alpha
-        J[0, :] = 0.0
+        if isinstance(net, Chain):
+            J[0, :] = 0.0  # the leader follows no one
         return J
     if isinstance(net, Laplacian):
         W = np.asarray(net.weights, dtype=float)
@@ -192,10 +191,8 @@ def msf_consensus_check(
     """
     spec = net if isinstance(net, Spectrum) else spectrum(net)
     mus = np.asarray(spec.eigenvalues)
-    has_zero = np.abs(mus) <= 1e-9
-    check = mus[~has_zero] if has_zero.any() else mus
     offending = []
-    for mu in check:
+    for mu in mus[~(np.abs(mus) <= 1e-9)]:
         verdict = member(complex(mu))
         if verdict.verdict == "on_curve":
             raise MarginalSpectrumError(f"eigenvalue {mu:.6g} marginal, undecidable at tolerance")
@@ -215,48 +212,37 @@ def carfollowing_Tc(n: int, N: int, alpha: float) -> float:
     return n * t * (1.0 + t * t) ** (n / 2.0) / (2.0 * alpha * math.sin(math.pi / N))
 
 
-_TC_REL_TOL = 1e-8  # relative width of the final delay bracket
-
-
 def carfollowing_Tc_numeric(n: int, N: int, alpha: float) -> float:
-    """Search counterpart of carfollowing_Tc: bisect on the membership oracle.
+    """Traced counterpart of carfollowing_Tc, without using the closed form.
 
-    Finds the delay at which the slowest rotating mode of the ring leaves
-    the stability region of the pure coupling dynamics, without using the
-    closed-form answer.
+    The ring's slowest mode mu_1 at delay T has the roots of the delay-1 mode at gain T mu_1,
+    divided by T: Tc = t / |mu_1| for the first t at which the delay-1 count rises along the
+    ray t mu_1 / |mu_1|.
     """
     mu1 = complex(alpha * (np.exp(2j * np.pi / N) - 1.0))
+    return _ray_crossing(presets.coupling_mode(Gamma(n, 1.0)), mu1 / abs(mu1)) / abs(mu1)
 
-    def is_stable(T: float) -> Optional[bool]:
-        # a tight on-axis guard keeps the marginal band well below _TC_REL_TOL
-        F = presets.coupling_mode(Gamma(n, T))
-        try:
-            nu = nu_contour(F, mu1, on_scc_tol=1e-11)
-        except OnSccError:
-            return None
-        return nu == 0
 
-    lo, hi = 1e-6, 0.5
-    for _ in range(60):
-        s = is_stable(hi)
-        if s is None:
-            return hi
-        if not s:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise RuntimeError("no instability found while expanding the delay bracket")
-    while (hi - lo) > _TC_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        s = is_stable(mid)
-        if s is None:
-            return mid
-        if s:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _disk_trace(F: CharFun, center: complex, radius: float) -> List[SccBranch]:
+    """The crossing curves of F over a beta range that holds every crossing point within the disk."""
+    B = radius_bound(F, center, radius)
+    return trace(F, -B, B, B / 256.0,
+                 window=(center.real - radius, center.real + radius, center.imag - radius, center.imag + radius))
+
+
+def _ray_crossing(F: CharFun, u: complex) -> float:
+    """Least t > 0 at which the unstable-root count of F rises (``crossing_at``) along the ray t u, |u| = 1.
+
+    The curves meet the ray's line where Im(conj(u) L) = 0.  The disk on the
+    segment up to r is traced, and r doubles from 1 until a crossing lies in it.
+    """
+    for r in (2.0**k for k in range(60)):
+        zeros = curve_zeros(_disk_trace(F, 0.5 * r * u, 0.5 * r), lambda L, Lp: np.imag(np.conj(u) * L))
+        ts = [t for br, beta, L in zeros
+              if 0.0 < (t := float(np.real(np.conj(u) * L))) <= r and crossing_at(F, br, beta).jump_ray == 1]
+        if ts:
+            return min(ts)
+    raise RuntimeError(f"no crossing found along the ray up to t = {r:.3g}")
 
 
 def chain_Tc(n: int, alpha: float) -> float:
@@ -323,31 +309,11 @@ def mas_Tc2(a, k1, k2):
     return 1 / denom
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - g * (hi - lo)
-    x2 = lo + g * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(80):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - g * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + g * (hi - lo)
-            f2 = f(x2)
-        if hi - lo < 1e-13 * max(1.0, abs(lo) + abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
 def alpha_c(a: float, b: float, k1: float, k2: float, T: float, R: float, N: int) -> float:
     """Critical noise strength for the random PD network.
 
-    sqrt(3/N) times the distance from -R to the PD crossing curve, located
-    by a coarse frequency grid plus golden-section refinement of each local
-    basin.  Requires -R strictly inside the zero-noise stability region.
+    sqrt(3/N) times the distance from -R to the traced crossing curves of the
+    PD agent mode.  Requires -R strictly inside the zero-noise stability region.
     """
     F = presets.pd_agent_mode(a, b, k1, k2, T)
     v = membership(F, complex(-R))
@@ -355,19 +321,20 @@ def alpha_c(a: float, b: float, k1: float, k2: float, T: float, R: float, N: int
         return 0.0  # the anchor sits on a crossing curve: zero distance
     if v.verdict != "stable":
         raise AnchorUnstableError(f"anchor unstable at alpha=0: -R={-R} is {v.verdict}")
+    return math.sqrt(3.0 / N) * _distance(F, complex(-R))
 
-    W = 50.0 * max(1.0, abs(a), abs(b), abs(k1), abs(k2), abs(T), abs(R))
-    grid = np.linspace(-W, W, 10_001)
-    dvals = np.abs(mas_scc(a, b, k1, k2, T, grid) + R)
 
-    def dist(beta: float) -> float:
-        return float(abs(mas_scc(a, b, k1, k2, T, beta) + R))
+def _distance(F: CharFun, c: complex) -> float:
+    """Least distance from c to the crossing curves of F: over the nodes and where Re(conj(L - c) L') = 0.
 
-    best = float(np.min(dvals))
-    interior = np.nonzero((dvals[1:-1] <= dvals[:-2]) & (dvals[1:-1] <= dvals[2:]))[0] + 1
-    for i in interior:
-        best = min(best, dist(_golden_min(dist, grid[i - 1], grid[i + 1])))
-    return math.sqrt(3.0 / N) * best
+    The curve points at beta = 0 give a first distance d, and one trace covers the disk of radius d about c.
+    """
+    d = float(np.min(np.abs(poly_roots(F.lpoly(0.0)) - c), initial=np.inf))
+    if not d < np.inf:
+        raise ValueError("no crossing curve point at beta = 0 to bound the distance")
+    brs = _disk_trace(F, c, d)
+    return min([d, *(abs(L - c) for _, _, L in curve_zeros(brs, lambda L, Lp: np.real(np.conj(L - c) * Lp)))]
+               + [float(np.min(np.abs(br.L - c))) for br in brs])
 
 
 def network_to_dict(net: NetworkSpec) -> dict:

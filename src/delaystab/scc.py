@@ -29,7 +29,8 @@ Self-intersections of the curve start from the crossings of its chords.
 All chord pairs whose bounding boxes overlap are tested at once by the
 signs of four cross products, and each crossing gives the two betas
 interpolated there.  Newton on those two curve parameters then solves
-L(beta1) = L(beta2).
+L(beta1) = L(beta2).  Critical parameters are read off the curves where a
+real function g(L, L') of the point and its tangent vanishes (``curve_zeros``).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "TraceResidualError",
     "trace",
     "crossing_at",
+    "curve_zeros",
     "self_intersection",
 ]
 
@@ -399,16 +401,11 @@ def crossing_at(F: CharFun, branch: SccBranch, beta_star: float) -> CrossingRepo
     smoothly and the report is flagged degenerate with no jump claimed).
     """
     L_star = branch.eval(beta_star)
-    lam = 1j * beta_star
-    dl = F.d_lambda(lam, L_star)
-    dL = F.d_L(lam, L_star)
-    scale = max(1.0, abs(L_star))
-    if abs(dl) <= 1e-12 * scale:
-        return CrossingReport(beta_star, L_star, complex(np.nan), None, float("nan"), 0,
-                              flag="regular-crossing hypothesis fails")
-    if abs(dL) == 0.0:
-        return CrossingReport(beta_star, L_star, complex(np.nan), None, float("nan"), 0,
-                              flag="tangent undefined")
+    dl, dL = F.d_lambda(1j * beta_star, L_star), F.d_L(1j * beta_star, L_star)
+    flag = ("regular-crossing hypothesis fails" if abs(dl) <= 1e-12 * max(1.0, abs(L_star))
+            else "tangent undefined" if dL == 0.0 else None)
+    if flag:
+        return CrossingReport(beta_star, L_star, complex(np.nan), None, float("nan"), 0, flag=flag)
     Lp = -1j * dl / dL
     normal = 1j * Lp
     if abs(L_star) <= _POLAR_RADIUS_FLOOR:
@@ -470,8 +467,7 @@ def self_intersection(branches) -> List[Tuple[float, float, complex]]:
         bA, bB = branches[ai], branches[bi]
         for b1, b2, l1, l2 in zip(*(x.tolist() for x in _chord_crossings(bA, bB, same=(ai == bi)))):
             if bA.charfun is not None and bB.charfun is not None:
-                b1, b2 = _newton_pair(bA, b1, bB, b2) or (b1, b2)
-                l1, l2 = bA.eval(b1), bB.eval(b2)
+                b1, b2, l1, l2 = _newton_pair(bA, b1, bB, b2) or (b1, b2, bA.eval(b1), bB.eval(b2))
             if bA is bB:
                 b1, b2 = min(b1, b2), max(b1, b2)
             if abs(l1 - l2) <= _HIT_TOL and not (bA is bB and b2 - b1 < 1e-9):
@@ -484,7 +480,7 @@ def self_intersection(branches) -> List[Tuple[float, float, complex]]:
 
 
 def _newton_pair(bA: SccBranch, beta1: float, bB: SccBranch, beta2: float):
-    """Newton on L_A(beta1) = L_B(beta2), each beta clipped to its branch's range.
+    """Newton on L_A(beta1) = L_B(beta2), each beta clipped to its branch's range: (beta1, beta2, L1, L2).
 
     A step solves t1 d1 - t2 d2 = L_B - L_A for real d1, d2, with t1, t2 the
     tangents, by crossing it with t2 and with t1.  None when a tangent is
@@ -494,7 +490,7 @@ def _newton_pair(bA: SccBranch, beta1: float, bB: SccBranch, beta2: float):
         L1, L2 = bA.eval(beta1), bB.eval(beta2)
         g = L1 - L2
         if abs(g) < 1e-12 * max(1.0, abs(L1)):
-            return beta1, beta2
+            return beta1, beta2, L1, L2
         t1, t2 = _tangent(bA.charfun, beta1, L1), _tangent(bB.charfun, beta2, L2)
         if not (np.isfinite(t1) and np.isfinite(t2)):
             return None
@@ -503,4 +499,40 @@ def _newton_pair(bA: SccBranch, beta1: float, bB: SccBranch, beta2: float):
             return None
         beta1 = float(np.clip(beta1 + _cross(t2, g) / det, bA.beta[0], bA.beta[-1]))
         beta2 = float(np.clip(beta2 + _cross(t1, g) / det, bB.beta[0], bB.beta[-1]))
-    return beta1, beta2
+    return beta1, beta2, bA.eval(beta1), bB.eval(beta2)
+
+
+def curve_zeros(branches, g) -> List[Tuple[SccBranch, float, complex]]:
+    """Zeros (branch, beta, L) of a real function g(L, L') of the curve point and its tangent.
+
+    Accepts one branch or a list; g takes node arrays and single points alike.  A node
+    where g is zero is kept, and each sign change between adjacent nodes is polished.
+    """
+    out = []
+    for br in [branches] if isinstance(branches, SccBranch) else branches:
+        s = np.sign(g(br.L, br.tangent))  # NaN where the tangent is undefined: no sign change
+        for i in np.flatnonzero((s == 0.0) | np.append(s[:-1] * s[1:] < 0.0, False)):
+            out.append((br, *_regula_falsi(br, g, i)) if s[i] else (br, float(br.beta[i]), complex(br.L[i])))
+    return out
+
+
+def _regula_falsi(br: SccBranch, g, i: int) -> Tuple[float, complex]:
+    """Illinois regula falsi on the curve for g between nodes i and i + 1: the (beta, L) of least |g| met.
+
+    The end kept twice in a row has its g halved; stops once the secant point leaves the open bracket.
+    """
+    (b0, b1), (L0, L1) = br.beta[i:i + 2].tolist(), br.L[i:i + 2].tolist()
+    g0, g1 = float(g(L0, br.tangent[i])), float(g(L1, br.tangent[i + 1]))
+    best, kept = min((abs(g0), b0, L0), (abs(g1), b1, L1), key=lambda x: x[0]), 0
+    for _ in range(100):
+        b = (b0 * g1 - b1 * g0) / (g1 - g0)
+        if not b0 < b < b1:
+            break
+        L = complex(br.eval(b))
+        gb = float(g(L, _tangent(br.charfun, b, L)))
+        best = min(best, (abs(gb), b, L), key=lambda x: x[0])
+        if (gb > 0.0) == (g1 > 0.0):
+            b1, g1, g0, kept = b, gb, 0.5 * g0 if kept == -1 else g0, -1
+        else:
+            b0, g0, g1, kept = b, gb, 0.5 * g1 if kept == 1 else g1, 1
+    return best[1], best[2]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from delaystab import networks as nw
-from delaystab import presets
+from delaystab import presets, scc
 from delaystab.cli import main
 from delaystab.kernels import Gamma
 from delaystab.regions import membership
@@ -100,6 +100,32 @@ def test_carfollowing_Tc_numeric_agrees():
     assert abs(tcn - tc) / tc < 1e-6
 
 
+@pytest.mark.parametrize("n,N,alpha", [(n, N, al) for n in (1, 2, 3) for N in (5, 10) for al in (0.5, 1.0, 2.0)])
+def test_carfollowing_Tc_numeric_to_rounding(n, N, alpha):
+    # the ray query on the delay-1 curves against the closed form
+    tc = nw.carfollowing_Tc(n, N, alpha)
+    assert abs(nw.carfollowing_Tc_numeric(n, N, alpha) - tc) / tc < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ray_query_meets_the_chain_closed_form(n):
+    # mode -alpha: the delay-1 curve first meets the negative real axis at
+    # t = alpha chain_Tc(n, alpha), which does not depend on alpha
+    t = nw._ray_crossing(presets.coupling_mode(Gamma(n, 1.0)), -1.0 + 0j)
+    for alpha in (0.5, 2.0):
+        assert t == pytest.approx(alpha * nw.chain_Tc(n, alpha), rel=1e-12)
+
+
+def test_ray_query_finds_no_negative_crossing_at_n1():
+    # L(beta) = i beta - beta^2 is real only at the origin, so the leader chain
+    # with n = 1 has no critical delay
+    F = presets.coupling_mode(Gamma(1, 1.0))
+    zeros = scc.curve_zeros(nw._disk_trace(F, -32.0 + 0j, 32.0), lambda L, Lp: L.imag)
+    assert [L for _, _, L in zeros] == [0.0]
+    with pytest.raises(RuntimeError, match="no crossing found along the ray"):
+        nw._ray_crossing(F, -1.0 + 0j)
+
+
 def test_chain_Tc():
     assert math.isinf(nw.chain_Tc(1, 0.3))
     assert nw.chain_Tc(2, 1.0) == pytest.approx(4.0)
@@ -154,6 +180,45 @@ def test_alpha_c_against_dense_grid():
     beta = np.arange(-50.0, 50.0, 1e-4)
     oracle = math.sqrt(3.0 / N) * np.min(np.abs(nw.mas_scc(a, b, k1, k2, T, beta) + R))
     assert got == pytest.approx(float(oracle), abs=1e-9)
+
+
+PD_SETS = [(1.0, 1.0, 1.0, 1.1), (0.5, 2.0, 1.5, 1.0), (1.0, 0.5, 0.8, 2.0)]
+
+
+def _mp_alpha_c(a, b, k1, k2, T, R, N):
+    """sqrt(3/N) times the 40-digit distance from -R to the closed-form PD curve.
+
+    Each local minimum of a 2e-4 grid over |beta| <= 60 brackets a zero of the
+    derivative of the squared distance, which findroot solves at 40 digits.
+    """
+    beta = np.linspace(-60.0, 60.0, 600_001)
+    d = np.abs(nw.mas_scc(a, b, k1, k2, T, beta) + R)
+    assert min(d[0], d[-1]) > 4.0 * d.min()  # the curve has left the disk for good
+    basins = np.flatnonzero((d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:])) + 1
+    with mpmath.workdps(40):
+        a, b, k1, k2, T, R = map(mpmath.mpf, (a, b, k1, k2, T, R))
+
+        def d2(x):
+            return abs((-x**2 - b - 1j * a * x) * (1 + 1j * x * T) / (k1 + 1j * k2 * x) + R) ** 2
+
+        best = min(d2(mpmath.findroot(lambda x: mpmath.diff(d2, x), (beta[i - 1], beta[i + 1]), solver="anderson"))
+                   for i in basins)
+        return float(mpmath.sqrt(3 * best / N))
+
+
+@pytest.mark.parametrize("R", [2.0, 3.0, 5.0])
+@pytest.mark.parametrize("T", [0.0, 0.05, 0.15, 0.3])
+@pytest.mark.parametrize("pd", PD_SETS, ids=["a1-b1-k1-k1.1", "a0.5-b2-k1.5-k1", "a1-b0.5-k0.8-k2"])
+def test_alpha_c_against_mpmath(pd, T, R):
+    # every anchor of these 36 cases is stable
+    oracle = _mp_alpha_c(*pd, T, R, 100)
+    assert abs(nw.alpha_c(*pd, T, R, 100) - oracle) <= 2e-15 * oracle
+
+
+def test_alpha_c_needs_a_curve_point_at_zero_frequency():
+    # k1 = 0: F(0, L) = -b for every L, so no curve point bounds the first trace
+    with pytest.raises(ValueError, match="no crossing curve point at beta = 0"):
+        nw.alpha_c(-1.0, -1.0, 0.0, 1.0, 0.1, 2.0, 12)
 
 
 def test_alpha_c_scaling_and_edges():

@@ -14,6 +14,7 @@ from delaystab.scc import (
     IdenticallySingularError,
     SccBranch,
     crossing_at,
+    curve_zeros,
     self_intersection,
     trace,
 )
@@ -256,6 +257,36 @@ def test_self_intersection_finds_every_hit():
         Lk = (1j * bk - 1) * np.exp(1.5j * bk)
         assert b1 == pytest.approx(-bk, abs=1e-9) and b2 == pytest.approx(bk, abs=1e-9)
         assert abs(Lk.imag) < 1e-12 and abs(L - Lk) < 1e-9
+
+
+def test_self_intersection_reuses_the_converged_gains(monkeypatch):
+    # the last Newton step of each hit evaluates both curve points at the final
+    # betas: the 5 hits of the tau = 1.5 curve take 30 evaluations (40 when both
+    # points were evaluated again), and each hit's gain is the mean of those two
+    F = presets.scalar_discrete(1.0, 0.0, 1.5)
+    brs = trace(F, -12.0, 12.0, 0.05, window=(-13, 13, -13, 13))
+    evaluate, calls = SccBranch.eval, []
+    monkeypatch.setattr(SccBranch, "eval", lambda br, beta: calls.append(beta) or evaluate(br, beta))
+    hits = self_intersection(brs)
+    monkeypatch.undo()
+    assert len(hits) == 5 and len(calls) == 30
+    for b1, b2, L in hits:
+        (bA,), (bB,) = ([br for br in brs if br.beta[0] <= b <= br.beta[-1]] for b in (b1, b2))
+        assert L == 0.5 * (bA.eval(b1) + bB.eval(b2))
+
+
+def test_curve_zeros_on_the_real_axis(growth_branch):
+    # L(beta) = (i beta - 1) e^{i beta / 2} is real at beta = 0 (a node, where
+    # Im L is exactly zero) and where tan(beta / 2) = beta: 2.33 and 9.21 below 12
+    F, br = growth_branch
+    roots = [brentq(lambda x: np.tan(x / 2) - x, lo, hi, xtol=1e-15) for lo, hi in ((1.0, 3.0), (7.0, 3 * np.pi - 1e-9))]
+    expect = [-roots[1], -roots[0], 0.0, roots[0], roots[1]]
+    zeros = curve_zeros(br, lambda L, Lp: L.imag)
+    assert [z[0] for z in zeros] == [br] * 5
+    for (_, beta, L), bk in zip(zeros, expect):
+        assert beta == pytest.approx(bk, abs=1e-13)
+        assert abs(L - (1j * bk - 1) * np.exp(0.5j * bk)) < 1e-12 and abs(L.imag) < 1e-13
+    assert zeros[2][1:] == (0.0, -1.0 + 0j)
 
 
 def test_self_intersection_across_branches():
