@@ -12,10 +12,13 @@ contour, F on its points is one matrix product per block of gains
 or unresolved) instead of an exception; ``nu_contour`` is a batch of one.
 
 NU is constant between crossing curves, so a window map needs one count per
-connected component: cells whose centre lies within half a cell diagonal of
-the curves (on any cell aspect ratio) are masked out, the rest are
-flood-filled, and each component is labeled by the first of its five most
-curve-distant cells that is off the curves, all components in one batch.
+connected component.  ``trace_covering`` gives the curves in a window from
+one trace over the beta range that ``radius_bound`` certifies for the
+window's circumscribed disk.  Cells whose centre lies within half a cell
+diagonal of the curves (on any cell aspect ratio) are masked out, the rest
+are flood-filled, and each component is labeled by the first of its five
+most curve-distant cells that is off the curves, all components in one
+batch.
 A full-oracle mode counts every open cell in one batch as a cross-check.
 
 The grid passes are whole-array numpy: the curve segments are sub-sampled
@@ -62,13 +65,13 @@ class WindingUnresolvedError(RuntimeError):
 
 _ROUND_GUARD = 0.05  # largest distance of the winding from an integer
 _MAX_CONTOUR_POINTS = 200_000
-_ON_SCC_TOL = 1e-6  # default axis clearance of F, relative to max(1, |beta|^q)
+_ON_SCC_TOL = 1e-6  # axis clearance of F, relative to max(1, |beta|^q)
 _AXIS_POINTS, _ARC_POINTS = 769, 193  # starting contour: points on the axis, on the arc with its t = 0 end
 _BLOCK = 1 << 17  # contour values per column block
 _ON_CURVE, _UNRESOLVED = -1, -2  # counter statuses besides a count NU >= 0
 
 
-def _winding(F: CharFun, Ls, on_scc_tol: float = _ON_SCC_TOL):
+def _winding(F: CharFun, Ls):
     """NU of F(., L) for every gain of the batch ``Ls``, by phase tracking, as statuses.
 
     All gains share one contour, whose radius ``radius_bound`` gives for the
@@ -79,7 +82,7 @@ def _winding(F: CharFun, Ls, on_scc_tol: float = _ON_SCC_TOL):
     other winding halves the threshold (down to pi/64) or leaves the column
     unresolved.  Midpoints go wherever a live column asks for one and are
     evaluated for the live columns only.  Returns ``(nu, beta)``: ``nu[c]``
-    is the count, ``_ON_CURVE`` when |F| falls below ``on_scc_tol *
+    is the count, ``_ON_CURVE`` when |F| falls below ``_ON_SCC_TOL *
     max(1, |beta|^q)`` on the axis (``beta[c]`` is the first such point) or
     ``_UNRESOLVED`` when the values are not finite or the winding does not
     settle.  A failed count never raises.
@@ -105,7 +108,7 @@ def _winding(F: CharFun, Ls, on_scc_tol: float = _ON_SCC_TOL):
             axis = new <= 1.0
             fm = F.outer(np.where(axis, -1j * R * new, R * np.exp(1j * (new - 1.0 - np.pi / 2.0))), Ls[live])
             finite = np.isfinite(fm).all(axis=0)
-            low = np.abs(fm) < np.where(axis, on_scc_tol * np.maximum(1.0, np.abs(R * new) ** F.q), 0.0)[:, None]
+            low = np.abs(fm) < np.where(axis, _ON_SCC_TOL * np.maximum(1.0, np.abs(R * new) ** F.q), 0.0)[:, None]
             on = finite & low.any(axis=0)
             if on.any():
                 nu[live[on]] = _ON_CURVE
@@ -146,7 +149,7 @@ def _raise_status(nu: int, beta: float, L: complex) -> None:
         raise WindingUnresolvedError(f"phase tracking did not settle on an integer winding at L={L:.6g}")
 
 
-def nu_contour(F: CharFun, L: complex, *, on_scc_tol: float = _ON_SCC_TOL) -> int:
+def nu_contour(F: CharFun, L: complex) -> int:
     """Count roots of F(., L) with nonnegative real part.
 
     Raises OnSccError when a root sits on (or numerically too close to) the
@@ -154,7 +157,7 @@ def nu_contour(F: CharFun, L: complex, *, on_scc_tol: float = _ON_SCC_TOL) -> in
     WindingUnresolvedError when phase tracking does not settle.
     """
     L = complex(L)
-    nu, beta = _winding(F, L, on_scc_tol)
+    nu, beta = _winding(F, L)
     _raise_status(nu[0], beta[0], L)
     return int(nu[0])
 
@@ -461,9 +464,6 @@ def stability_region(numap: NuMap) -> List[StabilityComponent]:
     return out
 
 
-_MAX_DOUBLINGS = 6  # beta-range doublings before coverage is given up
-
-
 def trace_covering(
     F: CharFun,
     window: Tuple[float, float, float, float],
@@ -471,25 +471,13 @@ def trace_covering(
     step: float = 0.05,
     refine_frac: float = 0.02,
 ) -> List[SccBranch]:
-    """Trace branches over a beta range wide enough to cover the window.
+    """Trace branches over the beta range that ``radius_bound`` certifies for the window.
 
-    The range doubles until the outermost traced gains sit far outside the
-    window on both ends (or the doubling budget runs out, with a warning).
+    No crossing point with L in the window's circumscribed disk (centre the
+    window's centre, radius half its diagonal) has |beta| >= R, so the
+    curves traced over [-R, R] are every curve piece in the window.
     """
     re_lo, re_hi, im_lo, im_hi = window
-    outer = max(abs(complex(re, im)) for re in (re_lo, re_hi) for im in (im_lo, im_hi))
-    cover = 1.5 * outer + 1.0
-    b = max(4.0, 2.0 * cover)
-    for _ in range(_MAX_DOUBLINGS):
-        branches = trace(F, -b, b, step, window=window, refine_frac=refine_frac)
-        tail = 0.1 * b
-        ok = True
-        for br in branches:
-            for end_beta, end_L in ((br.beta[0], br.L[0]), (br.beta[-1], br.L[-1])):
-                if abs(end_beta) >= b - tail and abs(end_L) <= cover:
-                    ok = False
-        if ok:
-            return branches
-        b *= 2.0
-    warnings.warn(f"beta range cap reached at +-{b / 2}; window coverage not certified", stacklevel=2)
-    return branches
+    center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
+    R = radius_bound(F, center, 0.5 * float(np.hypot(re_hi - re_lo, im_hi - im_lo)))
+    return trace(F, -R, R, step, window=window, refine_frac=refine_frac)

@@ -11,7 +11,6 @@ Each xfail reason carries the measured numbers.
 
 import math
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,12 +28,6 @@ from delaystab.scc import self_intersection, trace
 
 def note(msg: str) -> None:
     print(f"\nACCEPTANCE {msg}", flush=True)
-
-
-def _quiet_cover(F, window, **kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return trace_covering(F, window, **kw)
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -55,7 +48,7 @@ ORACLE_CASES = [
 def oracle_maps():
     out = {}
     for name, F, window in ORACLE_CASES:
-        branches = _quiet_cover(F, window)
+        branches = trace_covering(F, window)
         t0 = time.time()
         m = nu_map(F, window, (41, 41), branches)
         mo = nu_map(F, window, (41, 41), branches, full_oracle=True)
@@ -238,7 +231,7 @@ def test_criterion_5_pd_agent_criticals_and_regions():
     omegas = {}
     for T in (0.05, 0.3, 0.6):
         F = presets.pd_agent_mode(1.0, 1.0, 1.0, 1.1, T)
-        branches = _quiet_cover(F, window, step=0.01, refine_frac=0.002)
+        branches = trace_covering(F, window, step=0.01, refine_frac=0.002)
         m = nu_map(F, window, (141, 601), branches)
         counts[T] = int(m.component_ids.max()) + 1
         omegas[T] = len(stability_region(m))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaystab import presets
 from delaystab.charfun import (
@@ -11,6 +13,7 @@ from delaystab.charfun import (
     charfun_to_dict,
     radius_bound,
 )
+from delaystab.eigen import poly_roots
 from delaystab.kernels import Dirac, Gamma, Uniform, laplace
 
 
@@ -163,6 +166,26 @@ def test_radius_bound_excludes_roots(F):
     ):
         vals = np.abs(F.eval(lam, corner))
         assert np.min(vals) >= (R**F.q / 2.0) * (1.0 - 1e-9)
+
+
+_unit = st.floats(0.05, 2.0)
+_CERTIFIED_SYSTEMS = st.one_of(
+    st.builds(presets.scalar_discrete, st.floats(-2.0, 2.0), st.floats(-3.0, 3.0), _unit),
+    st.builds(presets.scalar_gamma, st.floats(-2.0, 2.0), st.integers(1, 4), _unit),
+    st.builds(presets.pd_agent_mode, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), _unit, _unit, st.floats(0.0, 1.0)),
+    st.builds(lambda a, A: presets.coupling_mode(Uniform(a, A)), st.floats(0.0, 1.0), _unit),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(F=_CERTIFIED_SYSTEMS, cre=st.floats(-8.0, 8.0), cim=st.floats(-8.0, 8.0), radius=st.floats(0.0, 8.0))
+def test_radius_bound_certifies_no_crossing_beyond_it(F, cre, cim, radius):
+    # no gain in the disk puts a root at i beta with R <= |beta| <= 4R: every L-root lies outside it
+    center = complex(cre, cim)
+    R = radius_bound(F, center, radius)
+    beta = np.concatenate([-np.geomspace(R, 4.0 * R, 101), np.geomspace(R, 4.0 * R, 101)])
+    roots = poly_roots(F.lpoly(1j * beta))
+    assert not (np.abs(roots - center) <= radius).any()
 
 
 def test_neutral_type_rejected():

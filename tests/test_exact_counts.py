@@ -8,8 +8,6 @@ is the case A = c - L, tau = 1.  For a Gamma kernel, clearing
 degree n + 1 whose roots are all the characteristic roots.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 from scipy.special import lambertw
@@ -82,9 +80,7 @@ def test_oracles_on_known_cases():
 @pytest.mark.parametrize("case", list(CASES))
 def test_maps_equal_exact_counts(case):
     F, window, exact = CASES[case]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        branches = trace_covering(F, window)
+    branches = trace_covering(F, window)
     m = nu_map(F, window, (41, 41), branches)
     mo = nu_map(F, window, (41, 41), branches, full_oracle=True)
     xs, ys = m.cell_centers()

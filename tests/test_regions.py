@@ -210,9 +210,7 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
 def test_stability_region_polylines_match_brute_force(case):
     F, window = ORACLE_CASES[case]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        branches = trace_covering(F, window)
+    branches = trace_covering(F, window)
     m = nu_map(F, window, (41, 41), branches)
     regs = stability_region(m)
     ref = _brute_force_regions(m)
@@ -229,9 +227,7 @@ def test_stability_region_memory_bounded():
     # a nodes x cells distance block per branch peaked near 800 MB here
     F = presets.pd_agent_mode(1.0, 1.0, 1.0, 1.1, 0.3)
     window = (-6.0, 1.0, -3.0, 3.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        branches = trace_covering(F, window, step=0.01, refine_frac=0.002)
+    branches = trace_covering(F, window, step=0.01, refine_frac=0.002)
     m = nu_map(F, window, (141, 601), branches)
     tracemalloc.start()
     try:
@@ -343,9 +339,7 @@ def _assert_grid_passes_match(sentinel):
 @functools.lru_cache(maxsize=None)
 def _oracle_branches(case):
     F, window = ORACLE_CASES[case]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return trace_covering(F, window)
+    return trace_covering(F, window)
 
 
 @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
@@ -361,9 +355,7 @@ def test_grid_passes_and_full_oracle_match_references(case):
 def test_pd_agent_grid_passes_match_references(T):
     F = presets.pd_agent_mode(1.0, 1.0, 1.0, 1.1, T)
     window = (-6.0, 1.0, -3.0, 3.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        branches = trace_covering(F, window, step=0.01, refine_frac=0.002)
+    branches = trace_covering(F, window, step=0.01, refine_frac=0.002)
     _assert_passes_match(branches, window, (141, 601))
     if T < 0.5:  # full-oracle maps on a coarser grid: the reference counts cell by cell
         mo = nu_map(F, window, (71, 61), branches, full_oracle=True)
@@ -470,16 +462,17 @@ def test_full_oracle_on_curve_cell_raises():
 ON, UNRESOLVED = regions._ON_CURVE, regions._UNRESOLVED
 
 
-def test_winding_reports_statuses_without_raising():
+def test_winding_reports_statuses_without_raising(monkeypatch):
     F = presets.scalar_discrete(1.0, 0.0, 0.5)
     nu, beta = regions._winding(F, [-1.0, -1.5, 0.0, -3.0])
     assert nu.tolist() == [ON, 0, 1, 2]
     assert beta[0] == 0.0 and np.isnan(beta[1:]).all()
     # with no axis clearance the root at lam = 0 (L = -1) is left unresolved, not raised
-    nu, _ = regions._winding(F, [-1.5, -1.0, 0.0], on_scc_tol=0.0)
+    monkeypatch.setattr(regions, "_ON_SCC_TOL", 0.0)
+    nu, _ = regions._winding(F, [-1.5, -1.0, 0.0])
     assert nu.tolist() == [0, UNRESOLVED, 1]
     with pytest.raises(regions.WindingUnresolvedError):
-        nu_contour(F, -1.0, on_scc_tol=0.0)
+        nu_contour(F, -1.0)
 
 
 @pytest.mark.parametrize("statuses, want", [
@@ -492,7 +485,7 @@ def test_component_label_takes_first_candidate_off_the_curves(monkeypatch, statu
     # no curves: one component whose five candidates are counted in one batch
     calls = []
 
-    def counter(F, Ls, on_scc_tol=regions._ON_SCC_TOL):
+    def counter(F, Ls):
         calls.append(len(Ls))
         return np.array(statuses), np.zeros(len(Ls))
 

@@ -1,3 +1,4 @@
+import warnings
 from typing import List, Tuple
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, fsolve
 
 from delaystab import presets, scc
-from delaystab.charfun import CharFun, build_charfun
+from delaystab.charfun import CharFun, build_charfun, radius_bound
 from delaystab.kernels import Dirac, Uniform, laplace
-from delaystab.regions import nu_contour
+from delaystab.regions import nu_contour, trace_covering
 from delaystab.scc import (
     IdenticallySingularError,
     SccBranch,
@@ -535,11 +536,11 @@ def _region_maps_system(kind, **p):
     return presets.scalar_gamma(p["a"], p["n"], p["T"])
 
 
-def _first_covering_range(window):
-    """The first beta half-range regions.trace_covering tries for a window."""
+def _covering_range(F, window):
+    """The beta half-range regions.trace_covering traces for a window: radius_bound on its circumscribed disk."""
     re_lo, re_hi, im_lo, im_hi = window
-    outer = max(abs(complex(re, im)) for re in (re_lo, re_hi) for im in (im_lo, im_hi))
-    return max(4.0, 2.0 * (1.5 * outer + 1.0))
+    return radius_bound(F, complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi)),
+                        0.5 * float(np.hypot(re_hi - re_lo, im_hi - im_lo)))
 
 
 # (name, system, window, step, refine_frac)
@@ -588,9 +589,21 @@ def _assert_same_trace(got, want):
 def test_trace_matches_depth_first_reference(case):
     _, (kind, p), window, step, refine_frac = case
     F = _parity_charfun(kind, p)
-    b = _first_covering_range(window)
+    b = _covering_range(F, window)
     got = trace(F, -b, b, step, window=window, refine_frac=refine_frac)
     _assert_same_trace(got, _reference_trace(F, -b, b, step, window=window, refine_frac=refine_frac))
+
+
+@pytest.mark.parametrize("case", _PARITY_CASES[:12], ids=[c[0] for c in _PARITY_CASES[:12]])
+def test_trace_covering_is_one_certified_trace_without_warning(case):
+    # the twelve benchmark maps: one trace over [-R, R], R from radius_bound, and nothing to warn about
+    _, (kind, p), window, step, refine_frac = case
+    F = _parity_charfun(kind, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = trace_covering(F, window, step=step, refine_frac=refine_frac)
+    b = _covering_range(F, window)
+    _assert_same_trace(got, trace(F, -b, b, step, window=window, refine_frac=refine_frac))
 
 
 def test_trace_without_window_matches_reference():
