@@ -150,7 +150,7 @@ def network_matrix(net: NetworkSpec) -> np.ndarray:
 @dataclass
 class Spectrum:
     eigenvalues: np.ndarray
-    method: str  # "closed_form" | "lapack" | "circular_law_approx"
+    method: str  # "closed_form" | "lapack"
 
 
 def spectrum(net: NetworkSpec) -> Spectrum:

@@ -2,10 +2,12 @@
 
 The number of characteristic roots in the closed right half-plane, NU(L),
 is computed by accumulating the winding of F along a closed contour: down
-the imaginary axis and back along the right semicircle whose radius comes
-from the coefficient bound (no roots can live beyond it).  Phase tracking
-with adaptive midpoint insertion is used instead of quadrature of the
-logarithmic derivative; it stays robust near contour-adjacent roots.  One
+the imaginary axis and back along the right semicircle of radius R from
+``radius_bound``.  Only the axis is sampled: on the semicircle
+|F / lam^q - 1| <= 1/2, so its turn is q pi + Arg(F(iR) / (iR)^q) -
+Arg(F(-iR) / (-iR)^q) in closed form.  Phase tracking with adaptive
+midpoint insertion is used instead of quadrature of the logarithmic
+derivative; it stays robust near contour-adjacent roots.  One
 counter, ``_winding``, does every count: a batch of gains shares one
 contour, F on its points is one matrix product per block of gains
 (``CharFun.outer``), and each gain ends with a status (its NU, on a curve
@@ -66,17 +68,23 @@ class WindingUnresolvedError(RuntimeError):
 _ROUND_GUARD = 0.05  # largest distance of the winding from an integer
 _MAX_CONTOUR_POINTS = 200_000
 _ON_SCC_TOL = 1e-6  # axis clearance of F, relative to max(1, |beta|^q)
-_AXIS_POINTS, _ARC_POINTS = 769, 193  # starting contour: points on the axis, on the arc with its t = 0 end
+_AXIS_POINTS = 769  # starting contour: points on the axis segment from iR to -iR
 _BLOCK = 1 << 17  # contour values per column block
 _ON_CURVE, _UNRESOLVED = -1, -2  # counter statuses besides a count NU >= 0
+
+
+def _arc_turn(q: int, top, bottom):
+    """F's phase turn from -iR to iR along a semicircle with |F / lam^q - 1| <= 1/2; top = F(iR), bottom = F(-iR)."""
+    return np.pi * q + np.angle(top * (-1j) ** q) - np.angle(bottom * 1j**q)  # the unit powers are exact
 
 
 def _winding(F: CharFun, Ls):
     """NU of F(., L) for every gain of the batch ``Ls``, by phase tracking, as statuses.
 
-    All gains share one contour, whose radius ``radius_bound`` gives for the
-    disk that holds the batch, and are counted in column blocks.  Each round
-    tests every live column of a block: a wrapped phase step above the
+    All gains share one contour, whose radius R ``radius_bound`` gives for the
+    disk that holds the batch, and are counted in column blocks: the axis from
+    iR down to -iR, plus ``_arc_turn`` from its first and last rows.  Each
+    round tests every live column of a block: a wrapped phase step above the
     column's threshold asks for that step's midpoint; with none, a winding
     within ``_ROUND_GUARD`` of an integer >= 0 settles the column, and any
     other winding halves the threshold (down to pi/64) or leaves the column
@@ -94,39 +102,31 @@ def _winding(F: CharFun, Ls):
         return nu, beta
     center = 0.5 * (complex(Ls.real.min(), Ls.imag.min()) + complex(Ls.real.max(), Ls.imag.max()))
     R = radius_bound(F, center, float(np.abs(Ls - center).max()))
-    # one parameter along the contour: p = s / R on the axis lam = -i s, s from
-    # -R to R, then p = 1 + t on the arc lam = R e^{i(t - pi/2)}, t in (0, pi]
-    # (t = pi closes at i R).  R is a power of two, so s = R p is exact, and the
-    # midpoint of the axis end and the first arc point lies on the arc.
-    start = np.concatenate([np.linspace(-1.0, 1.0, _AXIS_POINTS), 1.0 + np.linspace(0.0, np.pi, _ARC_POINTS)[1:]])
+    # the axis lam = -i R p, p from -1 to 1; R is a power of two, so R p is exact
+    start = np.linspace(-1.0, 1.0, _AXIS_POINTS)
     block = max(1, _BLOCK // len(start))
     for lo in range(0, len(Ls), block):
         live = np.arange(lo, min(lo + block, len(Ls)))
         thr = np.full(len(live), np.pi / 4.0)
-        pos = new = start
+        pos, new, f = np.empty(0), start, np.empty((0, len(live)), dtype=complex)
         for rnd in range(61):
-            axis = new <= 1.0
-            fm = F.outer(np.where(axis, -1j * R * new, R * np.exp(1j * (new - 1.0 - np.pi / 2.0))), Ls[live])
+            fm = F.outer(-1j * R * new, Ls[live])
             finite = np.isfinite(fm).all(axis=0)
-            low = np.abs(fm) < np.where(axis, _ON_SCC_TOL * np.maximum(1.0, np.abs(R * new) ** F.q), 0.0)[:, None]
+            low = np.abs(fm) < (_ON_SCC_TOL * np.maximum(1.0, np.abs(R * new) ** F.q))[:, None]
             on = finite & low.any(axis=0)
-            if on.any():
-                nu[live[on]] = _ON_CURVE
-                beta[live[on]] = -R * new[low[:, on].argmax(axis=0)]
+            nu[live[on]] = _ON_CURVE
+            beta[live[on]] = -R * new[low[:, on].argmax(axis=0)]
             keep = finite & ~on
-            if rnd:  # the contour is its points in parameter order
-                order = np.argsort(np.concatenate([pos, new]), kind="stable")
-                pos = np.concatenate([pos, new])[order]
-                f = np.concatenate([f, fm])[order][:, keep]
-            else:
-                f = fm if keep.all() else fm[:, keep]
+            order = np.argsort(np.concatenate([pos, new]), kind="stable")  # the contour in parameter order
+            pos = np.concatenate([pos, new])[order]
+            f = np.concatenate([f, fm])[order][:, keep]
             live, thr = live[keep], thr[keep]
             if not len(live) or len(pos) > _MAX_CONTOUR_POINTS or rnd == 60:
                 break
             d = np.angle(f[1:] * f[:-1].conj())
             bad = np.abs(d) > thr
             calm = ~bad.any(axis=0)
-            total = d.sum(axis=0) / (2.0 * np.pi)
+            total = (d.sum(axis=0) + _arc_turn(F.q, f[0], f[-1])) / (2.0 * np.pi)
             n = np.round(total)
             done = calm & (np.abs(total - n) <= _ROUND_GUARD) & (n >= 0)
             nu[live[done]] = n[done]
@@ -351,7 +351,9 @@ def nu_map(
     Cells within half a cell diagonal of a traced curve are masked (-1).  In
     the default mode each flood-filled component is labeled by the count at
     the first of its five most curve-distant cells that is not on a curve;
-    with ``full_oracle`` every open cell is counted.
+    with ``full_oracle`` every open cell is counted.  A branch end within the
+    window's reach draws a warning, but ``trace`` drops far-field nodes, so a
+    branch's beta span certifies no coverage: ``trace_covering``'s range does.
     """
     re_lo, re_hi, im_lo, im_hi = window
     if not (re_hi > re_lo and im_hi > im_lo):
@@ -447,12 +449,7 @@ def stability_region(numap: NuMap) -> List[StabilityComponent]:
         cells = np.argwhere(comp == cid)
         if numap.labels[tuple(cells[0])] != 0:
             continue
-        clipped = bool(
-            np.any(cells[:, 0] == 0)
-            or np.any(cells[:, 0] == ny - 1)
-            or np.any(cells[:, 1] == 0)
-            or np.any(cells[:, 1] == nx - 1)
-        )
+        clipped = bool(np.isin(cells[:, 0], (0, ny - 1)).any() or np.isin(cells[:, 1], (0, nx - 1)).any())
         polylines = []
         for br in numap.branches:  # the runs of at least two nodes near the component
             near = np.zeros(len(br.L), dtype=bool)

@@ -300,7 +300,10 @@ def trace(
     with all of a level's new frequencies solved in one batch.  Refinement is
     suppressed where every root is far outside the window, so off-window
     excursions stay cheap.  Frequencies where the gain polynomial degenerates
-    to a nonzero constant contribute no nodes and split branches there.
+    to a nonzero constant contribute no nodes and split branches there.  A
+    far-field node whose links are all far-field jumps is dropped, so a
+    branch's beta span may stop short of the range and certifies no coverage;
+    the traced range does, as ``trace_covering`` certifies it.
     """
     if step <= 0:
         raise ValueError("step must be positive")

@@ -401,6 +401,38 @@ def test_reproduce_analytic_csv_plain_floats(tmp_path, config, name):
             float(cell)
 
 
+def test_reproduce_jobs_threads_write_the_serial_bytes(tmp_path, monkeypatch):
+    # --jobs 2 runs fig15's cells on cli._pmap's thread pool; the stabilized
+    # fractions 1.0, 0.25 and 0.0 show a cell written to the wrong place
+    pools = []
+
+    class Pool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+    config = {"figure": "fig15-heat", "grid": [6, 2], "seeds": 4, "N": 10, "horizon": 150.0}
+    code1, serial = run(tmp_path, "reproduce", config, "--jobs", "1", name="serial.json")
+    code2, threads = run(tmp_path, "reproduce", config, "--jobs", "2", name="threads.json")
+    assert code1 == code2 == 0 and pools == [2]
+    assert {0.0, 0.25, 1.0} <= {float(r["value"]) for r in read_csv(serial / "frequency.csv")}
+    for name in ("frequency.csv", "analytic_alpha_c.csv"):
+        assert (threads / name).read_bytes() == (serial / name).read_bytes()
+
+
+def test_paper_scale_only_swaps_defaults(tmp_path):
+    config = {"figure": "fig7-heat", "grid": [5, 5], "horizon": 4.0}
+    code1, desk = run(tmp_path, "reproduce", config, name="desk.json")
+    code2, paper = run(tmp_path, "reproduce", config, "--paper-scale", name="paper.json")
+    assert code1 == code2 == 0
+    assert (paper / "rates.csv").read_bytes() == (desk / "rates.csv").read_bytes()
+    # without a grid the flag's default applies: 41 x 41 cells instead of 21 x 21
+    code, paper = run(tmp_path, "reproduce", {"figure": "fig7-heat", "horizon": 4.0}, "--paper-scale",
+                      name="paper-grid.json")
+    assert code == 0 and len(read_csv(paper / "rates.csv")) == 41 * 41
+
+
 def test_reproduce_fig16_small(tmp_path):
     code, out = run(tmp_path, "reproduce", {"figure": "fig16-series", "case": "a", "N": 60, "horizon": 14.0})
     assert code == 0

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delaystab import presets, regions
-from delaystab.charfun import CharFun
-from delaystab.kernels import Dirac
+from delaystab.charfun import CharFun, radius_bound
+from delaystab.kernels import Dirac, Uniform
 from delaystab.regions import (
     OnSccError,
     membership,
@@ -518,3 +518,39 @@ def test_full_oracle_equals_propagation_and_contour_on_subwindows(case, nx, ny, 
         mo = nu_map(F, window, (nx, ny), branches, full_oracle=True)
     assert np.array_equal(mo.labels, m.labels)
     assert np.array_equal(mo.labels, _reference_full_oracle(F, mo))
+
+
+_NUM = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _turn_cases(draw):
+    """A preset, a gain disk (centre, radius) and gains in it: one drawn, the rest on its rim."""
+    kind = draw(st.sampled_from(["scalar-discrete", "scalar-gamma", "pd-agent", "coupling-mode"]))
+    if kind == "scalar-discrete":
+        F = presets.scalar_discrete(draw(_NUM), draw(_NUM), draw(st.floats(0.0, 3.0)))
+    elif kind == "scalar-gamma":
+        F = presets.scalar_gamma(draw(_NUM), draw(st.integers(1, 4)), draw(st.floats(0.1, 3.0)))
+    elif kind == "pd-agent":
+        F = presets.pd_agent_mode(draw(_NUM), draw(_NUM), draw(_NUM), draw(_NUM), draw(st.floats(0.0, 2.0)))
+    else:
+        F = presets.coupling_mode(Uniform(draw(st.floats(0.0, 2.0)), draw(st.floats(0.1, 2.0))))
+    center, radius = complex(draw(_NUM), draw(_NUM)), draw(st.floats(0.0, 4.0))
+    inner = draw(st.floats(0.0, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    # the rim point farthest from the origin reaches the modulus radius_bound allows for
+    rim = np.exp(1j * np.append(np.angle(center), np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)))
+    return F, center, radius, center + radius * np.append(inner, rim)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_turn_cases())
+def test_semicircle_turn_in_closed_form_matches_the_dense_integral(case):
+    # the counter samples the axis only and adds the semicircle's phase turn in
+    # closed form; on radius_bound's semicircle that is arg F integrated along it
+    F, center, radius, Ls = case
+    R = radius_bound(F, center, radius)
+    lam = R * np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 8193))
+    lam[[0, -1]] = -1j * R, 1j * R
+    f = F.outer(lam, Ls)
+    dense = np.angle(f[1:] * f[:-1].conj()).sum(axis=0)  # unwrapped: every step is far below pi
+    assert np.abs(regions._arc_turn(F.q, f[-1], f[0]) - dense).max() <= 1e-9
