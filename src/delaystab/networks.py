@@ -42,9 +42,6 @@ __all__ = [
     "carfollowing_Tc",
     "carfollowing_Tc_numeric",
     "chain_Tc",
-    "mas_scc",
-    "mas_theta",
-    "mas_r",
     "mas_Tc1",
     "mas_Tc2",
     "alpha_c",
@@ -253,44 +250,6 @@ def chain_Tc(n: int, alpha: float) -> float:
         return math.inf
     t = math.tan(math.pi / (2 * n))
     return (n / alpha) * t * (1.0 + t * t) ** (n / 2.0)
-
-
-def mas_scc(a, b, k1, k2, T, beta):
-    """Crossing curve of the PD-coupled second-order agent mode.
-
-    L(beta) = (-beta^2 - b - i a beta)(1 + i beta T) / (k1 + i k2 beta), for T >= 0.
-    """
-    if T < 0:
-        raise ValueError(f"PD coupling delay must be nonnegative, got T={T}")
-    if k1 == 0:
-        raise ZeroDivisionError("k1 must be nonzero")
-    beta = np.asarray(beta, dtype=float)
-    num = (-(beta**2) - b - 1j * a * beta) * (1.0 + 1j * beta * T)
-    out = num / (k1 + 1j * k2 * beta)
-    return out[()] if out.ndim == 0 else out
-
-
-def mas_theta(a, b, k1, k2, T, beta):
-    """Unwrapped polar angle of the PD crossing curve (diagnostic form)."""
-    beta = np.asarray(beta, dtype=float)
-    out = (
-        np.pi
-        + np.arctan(a * beta / (beta**2 + b))
-        + np.arctan(beta * T)
-        - np.arctan(k2 * beta / k1)
-    )
-    return out[()] if out.ndim == 0 else out
-
-
-def mas_r(a, b, k1, k2, T, beta):
-    """Polar radius of the PD crossing curve (diagnostic form)."""
-    beta = np.asarray(beta, dtype=float)
-    out = (
-        np.sqrt((beta**2 + b) ** 2 + (a * beta) ** 2)
-        * np.sqrt(1.0 + (beta * T) ** 2)
-        / np.sqrt(k1**2 + (k2 * beta) ** 2)
-    )
-    return out[()] if out.ndim == 0 else out
 
 
 def mas_Tc1(a, b, k1, k2):

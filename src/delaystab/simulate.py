@@ -23,10 +23,13 @@ The agent ensembles (``mas_ensemble``) take the same RK4 map in another
 basis.  The agents' system is linear and every block of its matrix but the
 coupling J is a multiple of the identity, so with J = V diag(mu) V^-1 one
 RK4 step is, mode by mode, the degree-4 Taylor polynomial of h M(mu), M
-the agent's matrix with J replaced by mu.  Steps up to the verdict window
-are one binary matrix power; the window is stepped per mode and mapped
-back with V.  Matrices whose eigenvector basis is ill-conditioned (a
-defective J, such as the leader chain's) run on the direct integrator.
+the agent's matrix with J replaced by mu.  With each step matrix
+diagonalized in turn, the state at any step is a sum of powers of its
+eigenvalues, so no step is taken: the (x, v) norm has a closed-form bound
+over the verdict window and a closed form at its last step, and a run is
+decided when these clear the threshold by a factor of 2.  The rest, and
+matrices whose eigenvector basis is ill-conditioned (a defective J, such
+as the leader chain's), run on the direct integrator.
 
 Convergence or divergence of a trajectory is summarized by the slope of
 log-norm over the trailing window, the practical stand-in for the
@@ -495,7 +498,7 @@ def simulate_mas(
 
 _MODAL_MAX_COND = 1e8  # eigenvector condition number above which a run goes direct
 _MODAL_SEEDS = 8  # runs diagonalized at once: bounds the eigenvector memory
-_TAIL_BLOCK = 16  # verdict-window steps mapped back to (x, v) by one GEMM
+_MODAL_MARGIN = 2.0  # factor by which a modal bound must clear the threshold, against rounding
 
 
 def _mas_mode_step(a, b, k1, k2, T, mu: np.ndarray, dt: float) -> np.ndarray:
@@ -525,36 +528,31 @@ def _mas_mode_step(a, b, k1, k2, T, mu: np.ndarray, dt: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _mas_modal_tail(a, b, k1, k2, T, mu, V, x0, v0, n_steps: int, dt: float) -> np.ndarray:
-    """(x, v) norms over the verdict window of the runs with J = V diag(mu) V^-1.
+def _mas_modal_bounds(a, b, k1, k2, T, mu, V, v_norm, x0, v0, n_steps: int, dt: float):
+    """Verdict-window bounds of the runs with J = V diag(mu) V^-1, in closed form.
 
     ``mu`` (S, N) and ``V`` (S, N, N) are the eigen-decompositions of the
-    coupling matrices, ``x0, v0`` (S, N) the initial states.  Returns the
-    norms at steps ``_mas_tail_start(n_steps)`` .. ``n_steps``, one column
-    per run.  A diverging mode overflows to inf or nan, silently, which
-    leaves its run unstabilized.
+    coupling matrices, ``v_norm`` (S,) the largest singular value of each V
+    and ``x0, v0`` (S, N) the initial states.  With each mode's step matrix
+    G = W diag(rho) W^-1 and c = W^-1 V^-1 y0, the state at step k is
+    V W rho^k c, so over the steps s..n of the window the (x, v) norm is at
+    most ``v_norm`` times the norm of sum_j |W_xv,j| |c_j| max(|rho_j|^s,
+    |rho_j|^n).  Returns that bound, the (x, v) norm at step n itself and
+    whether every mode's W has a condition number of at most
+    ``_MODAL_MAX_COND``, one entry per run.  A diverging mode overflows to
+    inf or nan, silently.
     """
-    S, N = mu.shape
-    G = _mas_mode_step(a, b, k1, k2, T, mu, dt)
-    d = G.shape[-1]
-    start = _mas_tail_start(n_steps)
+    rho, W = np.linalg.eig(_mas_mode_step(a, b, k1, k2, T, mu, dt))
+    d = W.shape[-1]
     y0 = np.stack([x0, v0, x0, v0][:d], axis=-1).astype(complex)
-    c = (np.linalg.matrix_power(G, start) @ np.linalg.solve(V, y0)[..., None])[..., 0]
-    # component first from here: c[i] is one state component of every mode
-    c = np.moveaxis(c, -1, 0)
-    G = np.ascontiguousarray(np.moveaxis(G, (-2, -1), (0, 1)))
-    n_tail = n_steps + 1 - start
-    norms = np.empty((n_tail, S))
-    C = np.empty((_TAIL_BLOCK, 2, S, N), dtype=complex)
-    for lo in range(0, n_tail, _TAIL_BLOCK):
-        nb = min(_TAIL_BLOCK, n_tail - lo)
-        for j in range(nb):
-            C[j] = c[:2]
-            c = (G * c).sum(axis=1)
-        # (x, v) of the block: X[s, :, k] = V[s] C[k, s] for the 2 nb columns k
-        X = np.matmul(V, C[:nb].reshape(2 * nb, S, N).transpose(1, 2, 0)).real
-        norms[lo : lo + nb] = np.sqrt(np.einsum("snk,snk->ks", X, X).reshape(nb, 2, S).sum(axis=1))
-    return norms
+    c = np.linalg.solve(W, np.linalg.solve(V, y0)[..., None])[..., 0]
+    Wxv = W[..., :2, :]
+    r = np.abs(rho)
+    reach = np.abs(c) * np.maximum(r ** _mas_tail_start(n_steps), r**n_steps)
+    upper = v_norm * np.linalg.norm((np.abs(Wxv) * reach[..., None, :]).sum(axis=-1), axis=(1, 2))
+    xv = (Wxv * (rho**n_steps * c)[..., None, :]).sum(axis=-1)  # the modes' (x, v) at step n
+    last = np.linalg.norm(np.matmul(V, xv).real, axis=(1, 2))
+    return upper, last, (np.linalg.cond(W) <= _MODAL_MAX_COND).all(axis=1)
 
 
 def mas_ensemble(
@@ -564,31 +562,40 @@ def mas_ensemble(
 
     Each run is the RK4 run of ``simulate_mas`` with its matrix, from the
     run's slice of one initial draw of shape (2, S, N), and gets the same
-    verdict rule.  Runs whose eigenvector matrix has a condition number
-    above 1e8 are stepped directly; the rest are stepped mode by mode
-    through the exact RK4 step matrix (see the module notes), which differs
-    from the direct steps by rounding only.  The modal runs do not check
-    the blow-up threshold: a run that crosses it has grown far past 1e-3 of
-    its initial norm and is unstabilized either way.
+    verdict rule.  A run whose eigenvector matrix has a condition number of
+    at most 1e8 is decided mode by mode, without a step (see the module
+    notes): stabilized when twice ``_mas_modal_bounds``' window bound is
+    below the threshold, unstabilized when its norm at the last step is
+    above twice the threshold or not finite.  The rest, runs with an
+    ill-conditioned eigenvector matrix of J or of a mode's step matrix and
+    runs within those factors of 2, are stepped directly.  A modal run does
+    not check the blow-up threshold: a run that crosses it has grown far
+    past 1e-3 of its initial norm and is unstabilized either way.
     """
     if T < 0:
         raise ValueError(f"PD coupling delay must be nonnegative, got T={T}")
     Js = np.asarray(Js, dtype=float)
     S, N, _ = Js.shape
     x0, v0 = _mas_initial(cfg, S, N)
-    n0 = np.linalg.norm(np.concatenate([x0, v0], axis=1), axis=1)
+    thr = 1e-3 * np.maximum(np.linalg.norm(np.concatenate([x0, v0], axis=1), axis=1), 1e-300)
     n_steps = _n_steps(cfg.horizon, cfg.dt)
     stabilized = np.empty(S, dtype=bool)
     direct = []
     for lo in range(0, S, _MODAL_SEEDS):
         ix = np.arange(lo, min(lo + _MODAL_SEEDS, S))
         mu, V = np.linalg.eig(Js[ix])
-        ok = np.linalg.cond(V) <= _MODAL_MAX_COND  # False also for a singular V
+        sv = np.linalg.svd(V, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = sv[:, 0] / sv[:, -1] <= _MODAL_MAX_COND  # False also for a singular V
         direct.extend(ix[~ok])
         ix = ix[ok]
         if len(ix):
-            tail = _mas_modal_tail(a, b, k1, k2, T, mu[ok], V[ok], x0[ix], v0[ix], n_steps, cfg.dt)
-            stabilized[ix] = _mas_verdict(n0[ix], tail)
+            upper, last, w_ok = _mas_modal_bounds(a, b, k1, k2, T, mu[ok], V[ok], sv[ok, 0], x0[ix], v0[ix],
+                                                  n_steps, cfg.dt)
+            stab = w_ok & (_MODAL_MARGIN * upper < thr[ix])
+            unstab = w_ok & ~(last <= _MODAL_MARGIN * thr[ix])  # a nan norm too
+            stabilized[ix] = stab
+            direct.extend(ix[~(stab | unstab)])
     if direct:
         # observations: step 0, then the verdict window
         norms, blow = _mas_rk4(a, b, k1, k2, T, Js[direct], x0[direct], v0[direct], cfg,

@@ -14,6 +14,28 @@ from delaystab.regions import membership
 from delaystab.schema import check
 
 
+def mas_scc(a, b, k1, k2, T, beta):
+    """Closed-form crossing curve of the PD-coupled second-order agent mode, for T >= 0:
+
+    L(beta) = (-beta^2 - b - i a beta)(1 + i beta T) / (k1 + i k2 beta).
+    """
+    beta = np.asarray(beta, dtype=float)
+    return (-(beta**2) - b - 1j * a * beta) * (1.0 + 1j * beta * T) / (k1 + 1j * k2 * beta)
+
+
+def mas_theta(a, b, k1, k2, T, beta):
+    """Unwrapped polar angle of the PD crossing curve."""
+    beta = np.asarray(beta, dtype=float)
+    return np.pi + np.arctan(a * beta / (beta**2 + b)) + np.arctan(beta * T) - np.arctan(k2 * beta / k1)
+
+
+def mas_r(a, b, k1, k2, T, beta):
+    """Polar radius of the PD crossing curve."""
+    beta = np.asarray(beta, dtype=float)
+    return (np.sqrt((beta**2 + b) ** 2 + (a * beta) ** 2) * np.sqrt(1.0 + (beta * T) ** 2)
+            / np.sqrt(k1**2 + (k2 * beta) ** 2))
+
+
 def test_ring_spectrum_closed_form():
     s = nw.spectrum(nw.Ring(4, 1.0))
     assert s.method == "closed_form"
@@ -160,7 +182,7 @@ def test_msf_consensus_chain():
 def test_mas_critical_values():
     assert nw.mas_Tc1(Fraction(1), Fraction(1), Fraction(1), Fraction(11, 10)) == Fraction(1, 10)
     assert nw.mas_Tc2(1.0, 1.0, 1.1) == pytest.approx(1.1 / 2.1, abs=1e-15)
-    assert nw.mas_scc(1.0, 1.0, 1.0, 1.1, 0.2, 0.0) == pytest.approx(-1.0)
+    assert mas_scc(1.0, 1.0, 1.0, 1.1, 0.2, 0.0) == pytest.approx(-1.0)
     with pytest.raises(ValueError):
         nw.mas_Tc2(-10.0, 1.0, 1.0)
 
@@ -168,9 +190,9 @@ def test_mas_critical_values():
 def test_mas_polar_forms_match_cartesian():
     beta = np.linspace(0.1, 5.0, 40)
     a, b, k1, k2, T = 1.0, 1.0, 1.0, 1.1, 0.3
-    L = nw.mas_scc(a, b, k1, k2, T, beta)
-    assert np.allclose(np.abs(L), nw.mas_r(a, b, k1, k2, T, beta), rtol=1e-12)
-    theta = nw.mas_theta(a, b, k1, k2, T, beta)
+    L = mas_scc(a, b, k1, k2, T, beta)
+    assert np.allclose(np.abs(L), mas_r(a, b, k1, k2, T, beta), rtol=1e-12)
+    theta = mas_theta(a, b, k1, k2, T, beta)
     assert np.allclose(np.exp(1j * theta), L / np.abs(L), atol=1e-12)
 
 
@@ -178,7 +200,7 @@ def test_alpha_c_against_dense_grid():
     a, b, k1, k2, T, R, N = 1.0, 1.0, 1.0, 1.1, 0.0, 2.0, 100
     got = nw.alpha_c(a, b, k1, k2, T, R, N)
     beta = np.arange(-50.0, 50.0, 1e-4)
-    oracle = math.sqrt(3.0 / N) * np.min(np.abs(nw.mas_scc(a, b, k1, k2, T, beta) + R))
+    oracle = math.sqrt(3.0 / N) * np.min(np.abs(mas_scc(a, b, k1, k2, T, beta) + R))
     assert got == pytest.approx(float(oracle), abs=1e-9)
 
 
@@ -192,7 +214,7 @@ def _mp_alpha_c(a, b, k1, k2, T, R, N):
     derivative of the squared distance, which findroot solves at 40 digits.
     """
     beta = np.linspace(-60.0, 60.0, 600_001)
-    d = np.abs(nw.mas_scc(a, b, k1, k2, T, beta) + R)
+    d = np.abs(mas_scc(a, b, k1, k2, T, beta) + R)
     assert min(d[0], d[-1]) > 4.0 * d.min()  # the curve has left the disk for good
     basins = np.flatnonzero((d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:])) + 1
     with mpmath.workdps(40):
@@ -232,7 +254,6 @@ def test_alpha_c_scaling_and_edges():
 
 def test_negative_pd_delay_rejected():
     for fn in (lambda T: presets.pd_agent_mode(1.0, 1.0, 1.0, 1.1, T),
-               lambda T: nw.mas_scc(1.0, 1.0, 1.0, 1.1, T, 0.5),
                lambda T: nw.alpha_c(1.0, 1.0, 1.0, 1.1, T, 2.0, 50)):
         with pytest.raises(ValueError, match="nonnegative"):
             fn(-0.5)

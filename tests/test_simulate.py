@@ -387,18 +387,54 @@ def test_mas_ensemble_matches_direct_integrator(T):
     assert np.flatnonzero(~modal).tolist() == [6]
     n_steps = sim._n_steps(cfg.horizon, cfg.dt)
     x0, v0 = sim._mas_initial(cfg, len(Js), N)
-    tail = sim._mas_modal_tail(1.0, 1.0, 1.0, 1.1, T, mu[modal], V[modal], x0[modal], v0[modal], n_steps, cfg.dt)
-    tails = dict(zip(np.flatnonzero(modal), tail.T))
+    v_norm = np.linalg.svd(V[modal], compute_uv=False)[:, 0]
+    upper, last, ok = sim._mas_modal_bounds(1.0, 1.0, 1.0, 1.1, T, mu[modal], V[modal], v_norm,
+                                            x0[modal], v0[modal], n_steps, cfg.dt)
+    assert ok.all()
+    bounds = dict(zip(np.flatnonzero(modal), zip(upper, last)))
     compared = 0
     for i, J in enumerate(Js):
         res = sim.simulate_mas(1.0, 1.0, 1.0, 1.1, T, J, cfg)
         assert verdicts[i] == res.stabilized, f"run {i}"
-        if i in tails and res.trajectory.blowup is None:
+        if i in bounds and res.trajectory.blowup is None:
             direct = np.linalg.norm(res.trajectory.states[sim._mas_tail_start(n_steps):], axis=1)
-            np.testing.assert_allclose(tails[i], direct, rtol=1e-9, atol=0.0, err_msg=f"run {i}")
+            assert bounds[i][0] >= direct.max(), f"run {i}"
+            np.testing.assert_allclose(bounds[i][1], direct[-1], rtol=1e-9, atol=0.0, err_msg=f"run {i}")
             compared += 1
     assert verdicts[:3].all() and verdicts[7] and not verdicts[-4:].any()
     assert compared >= 10
+
+
+def test_mas_ensemble_near_threshold_run_goes_direct(monkeypatch):
+    # J = -c I decays at a rate set by c; bisect c until the direct window
+    # maximum lies within 10 % of the threshold, where no factor-2 bound decides
+    N, T = 2, 0.05
+    cfg = sim.SimConfig(dt=0.01, horizon=20.0, history=sim.ConstantHistory(0.3))
+    tail = sim._mas_tail_start(sim._n_steps(cfg.horizon, cfg.dt))
+
+    def ratio(c):
+        states = sim.simulate_mas(1.0, 1.0, 1.0, 1.1, T, -c * np.eye(N), cfg).trajectory.states
+        norms = np.linalg.norm(states, axis=1)
+        return norms[tail:].max() / (1e-3 * norms[0])
+
+    lo, hi = 1.0, 2.0  # -1 I is marginal, -2 I clears the threshold
+    c = 0.5 * (lo + hi)
+    while not 0.9 <= (q := ratio(c)) <= 1.1:
+        lo, hi = (lo, c) if q < 0.9 else (c, hi)
+        c = 0.5 * (lo + hi)
+    Js = np.stack([-3.0 * np.eye(N), -c * np.eye(N), -0.5 * np.eye(N)])
+    expected = [True, sim.simulate_mas(1.0, 1.0, 1.0, 1.1, T, Js[1], cfg).stabilized, False]
+    went_direct = []
+    rk4 = sim._mas_rk4
+
+    def spy(a, b, k1, k2, T, Js, *args, **kwargs):
+        went_direct.extend(Js)
+        return rk4(a, b, k1, k2, T, Js, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "_mas_rk4", spy)
+    verdicts = sim.mas_ensemble(1.0, 1.0, 1.0, 1.1, T, Js, cfg)
+    assert len(went_direct) == 1 and np.array_equal(went_direct[0], Js[1])
+    assert verdicts.tolist() == expected
 
 
 def test_kuramoto_free_rotators_dephase():
