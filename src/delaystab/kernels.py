@@ -48,8 +48,8 @@ class Dirac:
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError(f"Dirac delay must be nonnegative, got {self.tau}")
+        if not (0 <= self.tau < np.inf):  # NaN fails too
+            raise ValueError(f"Dirac delay must be nonnegative and finite, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,10 @@ class Uniform:
     A: float
 
     def __post_init__(self):
-        if self.a < 0:
-            raise ValueError(f"Uniform offset must be nonnegative, got {self.a}")
-        if self.A <= 0:
-            raise ValueError(f"Uniform width must be positive, got {self.A}")
+        if not (0 <= self.a < np.inf):  # NaN fails too
+            raise ValueError(f"Uniform offset must be nonnegative and finite, got {self.a}")
+        if not (0 < self.A < np.inf):
+            raise ValueError(f"Uniform width must be positive and finite, got {self.A}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,8 @@ class Gamma:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"Gamma shape must be a positive integer, got {self.n}")
-        if self.T <= 0:
-            raise ValueError(f"Gamma mean must be positive, got {self.T}")
+        if not (0 < self.T < np.inf):  # NaN fails too
+            raise ValueError(f"Gamma mean must be positive and finite, got {self.T}")
 
 
 def Exponential(T: float) -> Gamma:

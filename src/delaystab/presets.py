@@ -9,6 +9,8 @@ the controlled oscillator population.
 
 from __future__ import annotations
 
+import math
+
 from .charfun import CharFun, build_charfun
 from .kernels import KERNEL, DelayKernel, Dirac, Gamma, kernel_from_dict
 from .schema import NONNEG, NUM, POS, check, integer, obj
@@ -49,10 +51,11 @@ def pd_agent_mode(a: float, b: float, k1: float, k2: float, T: float) -> CharFun
 
     Per-eigenvalue mode of xdot = v, vdot = a v + b x + u with
     u = L * (k1 x + k2 v) filtered through an exponential delay of mean T.
-    T = 0 degenerates to undelayed coupling (unit transform); T < 0 is rejected.
+    T = 0 degenerates to undelayed coupling (unit transform); a negative,
+    infinite or NaN T is rejected.
     """
-    if T < 0:
-        raise ValueError(f"PD coupling delay must be nonnegative, got T={T}")
+    if not (0 <= T < math.inf):  # NaN fails too
+        raise ValueError(f"PD coupling delay must be nonnegative and finite, got T={T}")
     Q = [[0.0, 1.0], [complex(b), complex(a)]]
     B = [[0.0, 0.0], [[0, k1], [0, k2]]]
     kernel: DelayKernel = Gamma(1, T) if T > 0 else Dirac(0.0)

@@ -1,11 +1,13 @@
 """Time-domain integration of the delay systems and rate estimation.
 
-Every run steps with one fixed-step classical RK4 driver, ``_rk4``, over a
-batch along axis 0 of the state; a single run is a batch of one of the
-sweep that shares its right-hand side.  A run with any state component
-non-finite or above the blow-up threshold freezes at its last state and is
-flagged, and the rest of the batch goes on unchanged.  Discrete delays use
-the method of steps with cubic Hermite interpolation of the stored nodes
+Every run steps with one classical RK4 step of fixed size, ``_rk4_step``.
+The driver ``_rk4`` takes it over a batch along axis 0 of the state, a
+single run being a batch of one of the sweep that shares its right-hand
+side; the oscillator population takes it in its own loop
+(``_kuramoto_run``).  A batched run with any state component non-finite or
+above the blow-up threshold freezes at its last state and is flagged, and
+the rest of the batch goes on unchanged.  Discrete delays use the method
+of steps with cubic Hermite interpolation of the stored nodes
 (Bellen & Zennaro, *Numerical Methods for Delay Differential Equations*,
 2003), Gamma delays the linear chain realization, and the oscillator
 population a window of delayed phase exponentials gathered once per step.
@@ -20,16 +22,16 @@ other stages in place.  Batches of runs with several state components
 of their right-hand side runs over contiguous columns of the batch.
 
 The agent ensembles (``mas_ensemble``) take the same RK4 map in another
-basis.  The agents' system is linear and every block of its matrix but the
-coupling J is a multiple of the identity, so with J = V diag(mu) V^-1 one
-RK4 step is, mode by mode, the degree-4 Taylor polynomial of h M(mu), M
-the agent's matrix with J replaced by mu.  With each step matrix
-diagonalized in turn, the state at any step is a sum of powers of its
-eigenvalues, so no step is taken: the (x, v) norm has a closed-form bound
-over the verdict window and a closed form at its last step, and a run is
-decided when these clear the threshold by a factor of 2.  The rest, and
-matrices whose eigenvector basis is ill-conditioned (a defective J, such
-as the leader chain's), run on the direct integrator.
+basis.  The agents' field (``_mas_field``) is linear and every block of its
+matrix but the coupling J is a multiple of the identity, so with
+J = V diag(mu) V^-1 one RK4 step acts mode by mode: a mode's step matrix is
+``_rk4_step`` of the same field, with J replaced by mu, on the unit states.
+With each step matrix diagonalized in turn, the state at any step is a sum
+of powers of its eigenvalues, so no step is taken: the (x, v) norm has a
+closed-form bound over the verdict window and a closed form at its last
+step, and a run is decided when these clear the threshold by a factor of
+2.  The rest, and matrices whose eigenvector basis is ill-conditioned (a
+defective J, such as the leader chain's), run on the direct integrator.
 
 Convergence or divergence of a trajectory is summarized by the slope of
 log-norm over the trailing window, the practical stand-in for the
@@ -152,8 +154,8 @@ def _n_steps(horizon: float, dt: float) -> int:
 
 def _delay_steps(tau: float, dt_req: float) -> Tuple[float, int]:
     """Largest dt <= requested that divides the delay; returns (dt, m)."""
-    if tau <= 0:
-        raise ValueError("delay must be positive")
+    if not (0 < tau < math.inf):  # NaN fails too
+        raise ValueError(f"delay must be positive and finite, got {tau}")
     m = max(int(math.ceil(tau / dt_req - 1e-9)), 1)
     return tau / m, m
 
@@ -439,13 +441,16 @@ def _mas_initial(cfg: SimConfig, S: int, N: int) -> np.ndarray:
     return _history_values(cfg.history, UniformHistory(), (2, S, N), float)
 
 
-def _mas_rk4(a, b, k1, k2, T, Js: np.ndarray, x0, v0, cfg: SimConfig, observe, keep_from=0):
-    """Second-order agents, one run per coupling matrix of ``Js`` (S, N, N)
-    from the initial state ``x0, v0`` (S, N)."""
+def _mas_field(a, b, k1, k2, T, Js: np.ndarray):
+    """Right-hand side of second-order agents, one run per coupling matrix of ``Js`` (S, N, N).
+
+    State (x, v, p_x, p_v), N values each: vdot = a v + b x + J (k1 p_x + k2 p_v),
+    and the filters p of mean T follow (x, v); at T = 0 the state is (x, v) = p.
+    """
+    if not (0 <= T < math.inf):  # NaN fails too
+        raise ValueError(f"PD coupling delay must be nonnegative and finite, got T={T}")
     N = Js.shape[1]
     delayed = T > 0
-    # the coupling filters start on the history
-    y0 = np.concatenate([x0, v0, x0, v0] if delayed else [x0, v0], axis=1)
 
     def rhs(t, y):
         x = y[:, :N]
@@ -460,7 +465,18 @@ def _mas_rk4(a, b, k1, k2, T, Js: np.ndarray, x0, v0, cfg: SimConfig, observe, k
             dy[:, 3 * N :] = (v - pv) / T
         return dy
 
-    return _rk4(rhs, y0, cfg.dt, _n_steps(cfg.horizon, cfg.dt), _BLOWUP, observe, keep_from=keep_from)
+    return rhs
+
+
+def _mas_state(x0, v0, T) -> np.ndarray:
+    """Initial state of the runs from positions and velocities ``x0, v0`` (S, N): the coupling filters start on them."""
+    return np.concatenate([x0, v0, x0, v0] if T > 0 else [x0, v0], axis=1)
+
+
+def _mas_rk4(a, b, k1, k2, T, Js: np.ndarray, x0, v0, cfg: SimConfig, observe, keep_from=0):
+    """The runs of ``_mas_field`` from the initial state ``x0, v0`` (S, N)."""
+    return _rk4(_mas_field(a, b, k1, k2, T, Js), _mas_state(x0, v0, T), cfg.dt, _n_steps(cfg.horizon, cfg.dt),
+                _BLOWUP, observe, keep_from=keep_from)
 
 
 def _mas_tail_start(n_steps: int) -> int:
@@ -468,13 +484,9 @@ def _mas_tail_start(n_steps: int) -> int:
     return max(int(math.floor(0.9 * n_steps)), 1)
 
 
-def _mas_verdict(n0: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Runs whose norm over the verdict window stays below 1e-3 of the initial one."""
-    return tail.max(axis=0) < 1e-3 * np.maximum(n0, 1e-300)
-
-
-def _mas_stabilized(norms: np.ndarray, blow: np.ndarray) -> np.ndarray:
-    return (blow < 0) & _mas_verdict(norms[0], norms[_mas_tail_start(len(norms) - 1) :])
+def _mas_threshold(n0: np.ndarray) -> np.ndarray:
+    """The verdict threshold, 1e-3 of the initial norm ``n0``: a stabilized run stays below it over the window."""
+    return 1e-3 * np.maximum(n0, 1e-300)
 
 
 def simulate_mas(
@@ -486,14 +498,13 @@ def simulate_mas(
     is undelayed).  'Stabilized' means the position/velocity norm over the
     last tenth of the horizon stays below 1e-3 of its initial value.
     """
-    if T < 0:
-        raise ValueError(f"PD coupling delay must be nonnegative, got T={T}")
     J = np.asarray(J, dtype=float)
     N = J.shape[0]
     x0, v0 = _mas_initial(cfg, 1, N)
     states, blow = _mas_rk4(a, b, k1, k2, T, J[None, :, :], x0, v0, cfg, lambda y: y[0, : 2 * N])
-    stabilized = _mas_stabilized(np.linalg.norm(states, axis=1)[:, None], blow)
-    return MasResult(stabilized=bool(stabilized[0]), trajectory=_trajectory(cfg.dt, states, blow[0]))
+    norms = np.linalg.norm(states, axis=1)
+    stabilized = blow[0] < 0 and norms[_mas_tail_start(len(norms) - 1) :].max() < _mas_threshold(norms[0])
+    return MasResult(stabilized=bool(stabilized), trajectory=_trajectory(cfg.dt, states, blow[0]))
 
 
 _MODAL_MAX_COND = 1e8  # eigenvector condition number above which a run goes direct
@@ -502,29 +513,14 @@ _MODAL_MARGIN = 2.0  # factor by which a modal bound must clear the threshold, a
 
 
 def _mas_mode_step(a, b, k1, k2, T, mu: np.ndarray, dt: float) -> np.ndarray:
-    """The RK4 step matrix I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24 of each mode.
-
-    M(mu) is the agent's matrix with J replaced by the eigenvalue mu, in
-    (x, v, p_x, p_v), or in (x, v) when T = 0; the result has shape
-    ``mu.shape + (d, d)``.
+    """The RK4 step matrix of each mode, shape ``mu.shape + (d, d)``: ``_rk4_step`` of ``_mas_field``
+    with the 1 x 1 coupling mu from each of the d unit states.  The field is linear, so this is
+    I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, M(mu) the agent's matrix with J replaced by mu.
     """
     d = 4 if T > 0 else 2
-    hM = np.zeros(mu.shape + (d, d), dtype=complex)
-    hM[..., 0, 1] = dt
-    hM[..., 1, 0] = dt * b
-    hM[..., 1, 1] = dt * a
-    if T > 0:
-        hM[..., 1, 2] = dt * k1 * mu
-        hM[..., 1, 3] = dt * k2 * mu
-        hM[..., 2, 0] = hM[..., 3, 1] = dt / T
-        hM[..., 2, 2] = hM[..., 3, 3] = -dt / T
-    else:
-        hM[..., 1, 0] += dt * k1 * mu
-        hM[..., 1, 1] += dt * k2 * mu
-    G = eye = np.eye(d)
-    for j in (4, 3, 2, 1):  # Horner form of the Taylor polynomial
-        G = eye + hM @ G / j
-    return G
+    units = np.tile(np.eye(d, dtype=complex), (mu.size, 1))
+    G = _rk4_step(_mas_field(a, b, k1, k2, T, np.repeat(mu.ravel(), d).reshape(-1, 1, 1)), 0.0, units, dt)
+    return G.reshape(mu.shape + (d, d)).swapaxes(-1, -2)  # row j of a mode's block is column j of G
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -544,7 +540,7 @@ def _mas_modal_bounds(a, b, k1, k2, T, mu, V, v_norm, x0, v0, n_steps: int, dt: 
     """
     rho, W = np.linalg.eig(_mas_mode_step(a, b, k1, k2, T, mu, dt))
     d = W.shape[-1]
-    y0 = np.stack([x0, v0, x0, v0][:d], axis=-1).astype(complex)
+    y0 = _mas_state(x0, v0, T).reshape(len(x0), d, -1).swapaxes(1, 2).astype(complex)
     c = np.linalg.solve(W, np.linalg.solve(V, y0)[..., None])[..., 0]
     Wxv = W[..., :2, :]
     r = np.abs(rho)
@@ -561,23 +557,22 @@ def mas_ensemble(
     """Stabilization verdicts for a stack of coupling matrices (S, N, N).
 
     Each run is the RK4 run of ``simulate_mas`` with its matrix, from the
-    run's slice of one initial draw of shape (2, S, N), and gets the same
-    verdict rule.  A run whose eigenvector matrix has a condition number of
-    at most 1e8 is decided mode by mode, without a step (see the module
-    notes): stabilized when twice ``_mas_modal_bounds``' window bound is
-    below the threshold, unstabilized when its norm at the last step is
-    above twice the threshold or not finite.  The rest, runs with an
-    ill-conditioned eigenvector matrix of J or of a mode's step matrix and
-    runs within those factors of 2, are stepped directly.  A modal run does
-    not check the blow-up threshold: a run that crosses it has grown far
-    past 1e-3 of its initial norm and is unstabilized either way.
+    run's slice of one initial draw of shape (2, S, N), against the same
+    ``_mas_threshold``.  A run whose eigenvector matrix has a condition number
+    of at most 1e8 is decided mode by mode, without a step, by the RK4 step
+    matrix of each mode (see the module notes): stabilized when twice
+    ``_mas_modal_bounds``' window bound is below the threshold, unstabilized
+    when its norm at the last step is above twice the threshold or not
+    finite.  The rest, runs with an ill-conditioned eigenvector matrix of J
+    or of a mode's step matrix and runs within those factors of 2, are
+    stepped directly.  A modal run does not check the blow-up threshold: a
+    run that crosses it has grown far past 1e-3 of its initial norm and is
+    unstabilized either way.
     """
-    if T < 0:
-        raise ValueError(f"PD coupling delay must be nonnegative, got T={T}")
     Js = np.asarray(Js, dtype=float)
     S, N, _ = Js.shape
     x0, v0 = _mas_initial(cfg, S, N)
-    thr = 1e-3 * np.maximum(np.linalg.norm(np.concatenate([x0, v0], axis=1), axis=1), 1e-300)
+    thr = _mas_threshold(np.linalg.norm(np.concatenate([x0, v0], axis=1), axis=1))
     n_steps = _n_steps(cfg.horizon, cfg.dt)
     stabilized = np.empty(S, dtype=bool)
     direct = []
@@ -600,7 +595,7 @@ def mas_ensemble(
         # observations: step 0, then the verdict window
         norms, blow = _mas_rk4(a, b, k1, k2, T, Js[direct], x0[direct], v0[direct], cfg,
                                lambda y: np.linalg.norm(y[:, : 2 * N], axis=1), _mas_tail_start(n_steps))
-        stabilized[direct] = (blow < 0) & _mas_verdict(norms[0], norms[1:])
+        stabilized[direct] = (blow < 0) & (norms[1:].max(axis=0) < thr[direct])
     return stabilized
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,11 @@ def test_validation():
         Gamma(0, 1.0)
     with pytest.raises(ValueError):
         Exponential(-1.0)
+    # NaN and inf fail too: their transforms would be NaN
+    for make in (Dirac, lambda x: Uniform(x, 1.0), lambda x: Uniform(0.0, x), lambda x: Gamma(1, x)):
+        for x in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                make(x)
 
 
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=str)

@@ -255,8 +255,9 @@ def test_alpha_c_scaling_and_edges():
 def test_negative_pd_delay_rejected():
     for fn in (lambda T: presets.pd_agent_mode(1.0, 1.0, 1.0, 1.1, T),
                lambda T: nw.alpha_c(1.0, 1.0, 1.0, 1.1, T, 2.0, 50)):
-        with pytest.raises(ValueError, match="nonnegative"):
-            fn(-0.5)
+        for T in (-0.5, math.nan, math.inf):  # NaN would read as undelayed coupling
+            with pytest.raises(ValueError, match="nonnegative"):
+                fn(T)
         fn(0.0)  # T = 0 stays the undelayed coupling
 
 

@@ -336,10 +336,13 @@ def test_mas_diagonal_decouples_to_membership():
 
 def test_mas_negative_delay_rejected():
     cfg = sim.SimConfig(dt=0.01, horizon=10.0, history=sim.UniformHistory(1))
-    with pytest.raises(ValueError, match="nonnegative"):
-        sim.simulate_mas(1.0, 1.0, 1.0, 1.1, -0.5, -2.0 * np.eye(3), cfg)
-    with pytest.raises(ValueError, match="nonnegative"):
-        sim.mas_ensemble(1.0, 1.0, 1.0, 1.1, -0.5, -2.0 * np.eye(3)[None], cfg)
+    # -2 I takes the modal path in the ensemble, the defective chain the direct one
+    for T in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sim.simulate_mas(1.0, 1.0, 1.0, 1.1, T, -2.0 * np.eye(3), cfg)
+        for J in (-2.0 * np.eye(3), nw.network_matrix(nw.Chain(3, 1.0))):
+            with pytest.raises(ValueError, match="nonnegative"):
+                sim.mas_ensemble(1.0, 1.0, 1.0, 1.1, T, J[None], cfg)
 
 
 def test_mas_zero_noise_random_net():
@@ -403,6 +406,36 @@ def test_mas_ensemble_matches_direct_integrator(T):
             compared += 1
     assert verdicts[:3].all() and verdicts[7] and not verdicts[-4:].any()
     assert compared >= 10
+
+
+@pytest.mark.parametrize("T", [0.0, 0.05])
+def test_mas_mode_step_is_taylor_polynomial(T):
+    # oracle: hM written out entry by entry, M the agent's matrix with J replaced
+    # by mu in (x, v, p_x, p_v), or (x, v) at T = 0, and the degree-4 Taylor
+    # polynomial of hM in Horner form, which is one RK4 step of a linear field
+    a, b, k1, k2, dt = 1.0, 1.0, 1.0, 1.1, 0.01
+    rng = np.random.default_rng(5)
+    mu = rng.normal(0.0, 3.0, (3, 7)) + 1j * rng.normal(0.0, 3.0, (3, 7))
+    d = 4 if T > 0 else 2
+    hM = np.zeros(mu.shape + (d, d), dtype=complex)
+    hM[..., 0, 1] = dt
+    hM[..., 1, 0] = dt * b
+    hM[..., 1, 1] = dt * a
+    if T > 0:
+        hM[..., 1, 2] = dt * k1 * mu
+        hM[..., 1, 3] = dt * k2 * mu
+        hM[..., 2, 0] = hM[..., 3, 1] = dt / T
+        hM[..., 2, 2] = hM[..., 3, 3] = -dt / T
+    else:
+        hM[..., 1, 0] += dt * k1 * mu
+        hM[..., 1, 1] += dt * k2 * mu
+    oracle = eye = np.eye(d)
+    for j in (4, 3, 2, 1):
+        oracle = eye + hM @ oracle / j
+    G = sim._mas_mode_step(a, b, k1, k2, T, mu, dt)
+    assert G.shape == mu.shape + (d, d)
+    err = np.abs(G - oracle).max(axis=(-2, -1)) / np.abs(oracle).max(axis=(-2, -1))
+    assert err.max() <= 1e-15
 
 
 def test_mas_ensemble_near_threshold_run_goes_direct(monkeypatch):
