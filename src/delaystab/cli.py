@@ -9,12 +9,12 @@ NaN and Infinity are not JSON numbers and fail parsing, the discriminator
 must name a table entry, and the whole config must then match that
 entry's schema (types, numbers a float holds finitely, positive sizes and
 delays, unknown fields rejected).  Only then does the builder run.  It
-writes into a temporary directory next to --out; on success its artifacts
-and a manifest.json (the resolved configuration, a content hash, wall
-time, and the library version) move into --out, and on failure nothing
-does.  JSON artifacts spell a non-finite number "inf", "-inf" or "nan".
-Exit codes: 0 success, 1 runtime numerical failure, 2 invalid
-configuration.
+writes its artifacts into a temporary directory next to --out; on success
+every file there and a manifest.json listing them (the resolved
+configuration, a content hash, wall time, and the library version) move
+into --out, and on failure nothing does.  JSON artifacts spell a
+non-finite number "inf", "-inf" or "nan".  Exit codes: 0 success, 1
+runtime numerical failure, 2 invalid configuration.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import List
 
 import numpy as np
 
@@ -128,11 +127,10 @@ def _sim_config(config: dict) -> sim.SimConfig:
     return sim.SimConfig(history=None if h is None else _HISTORIES[h["kind"]][1](h), **doc)
 
 
-def _dump(out: Path, name: str, **doc) -> List[str]:
-    """Write ``doc`` as JSON to ``out / name``, a non-finite float spelled "inf", "-inf" or "nan"; return [name]."""
+def _dump(out: Path, name: str, **doc) -> None:
+    """Write ``doc`` as JSON to ``out / name``, a non-finite float spelled "inf", "-inf" or "nan"."""
     doc = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v for k, v in doc.items()}
     (out / name).write_text(json.dumps(doc, indent=1) + "\n")
-    return [name]
 
 
 def _pmap(fn, items, jobs: int):
@@ -142,21 +140,16 @@ def _pmap(fn, items, jobs: int):
         return list(ex.map(fn, items))
 
 
-def cmd_scc(config: dict, out: Path, args) -> List[str]:
+def cmd_scc(config: dict, out: Path, args) -> None:
     _check_geometry(config)
     F = _charfun_from_config(config)
     b = config["beta"]
     window = tuple(config["window"]) if "window" in config else None
-    branches = trace(F, b["lo"], b["hi"], b["step"], window=window)
-    outputs = []
-    for i, br in enumerate(branches):
-        name = f"branch_{i:03d}.csv"
-        dio.write_branch_csv(out / name, br)
-        outputs.append(name)
-    return outputs
+    for i, br in enumerate(trace(F, b["lo"], b["hi"], b["step"], window=window)):
+        dio.write_branch_csv(out / f"branch_{i:03d}.csv", br)
 
 
-def cmd_numap(config: dict, out: Path, args) -> List[str]:
+def cmd_numap(config: dict, out: Path, args) -> None:
     _check_geometry(config)
     F = _charfun_from_config(config)
     window = tuple(config["window"])
@@ -169,7 +162,6 @@ def cmd_numap(config: dict, out: Path, args) -> List[str]:
     m = nu_map(F, window, (nx, ny), branches, full_oracle=args.full_oracle)
     dio.write_numap_csv(out / "numap.csv", m)
     dio.write_boundaries_json(out / "boundaries.json", stability_region(m))
-    return ["numap.csv", "boundaries.json"]
 
 
 _CRITICAL = {
@@ -187,38 +179,36 @@ _CRITICAL = {
 }
 
 
-def _ship(out: Path, cfg: sim.SimConfig, traj: sim.Trajectory, est=None) -> List[str]:
+def _ship(out: Path, cfg: sim.SimConfig, traj: sim.Trajectory, est=None) -> None:
     """trajectory.csv and rate.json of a run; the rate is fitted here unless the model gave its own."""
     est = est if est is not None else sim.estimate_rate(traj, cfg)
     dio.write_trajectory_csv(out / "trajectory.csv", traj)
-    return ["trajectory.csv"] + _dump(out, "rate.json", rate=est.rate, r_squared=est.r_squared,
-                                      verdict=est.verdict, note=est.note)
+    _dump(out, "rate.json", rate=est.rate, r_squared=est.r_squared, verdict=est.verdict, note=est.note)
 
 
 def _simulate_scalar_discrete(config, out, args):
     p, cfg = config["params"], _sim_config(config)
-    return _ship(out, cfg, sim.simulate_scalar_discrete(p["a"], p["d"], complex(*p["L"]), p["tau"], cfg))
+    _ship(out, cfg, sim.simulate_scalar_discrete(p["a"], p["d"], complex(*p["L"]), p["tau"], cfg))
 
 
 def _simulate_scalar_gamma(config, out, args):
     p, cfg = config["params"], _sim_config(config)
-    return _ship(out, cfg, sim.simulate_scalar_gamma(p["a"], complex(*p["L"]), Gamma(p["n"], p["T"]), cfg))
+    _ship(out, cfg, sim.simulate_scalar_gamma(p["a"], complex(*p["L"]), Gamma(p["n"], p["T"]), cfg))
 
 
 def _simulate_carfollowing(config, out, args):
     p, cfg = config["params"], _sim_config(config)
-    return _ship(out, cfg, *sim.simulate_carfollowing(nw.network_from_dict(p["network"]), Gamma(p["n"], p["T"]), cfg))
+    _ship(out, cfg, *sim.simulate_carfollowing(nw.network_from_dict(p["network"]), Gamma(p["n"], p["T"]), cfg))
 
 
 def _simulate_mas(config, out, args):
     p, cfg = config["params"], _sim_config(config)
     net = nw.network_from_dict(p["network"])
     res = sim.simulate_mas(p["a"], p["b"], p["k1"], p["k2"], p["T"], nw.network_matrix(net), cfg)
-    outputs = _ship(out, cfg, res.trajectory)
+    _ship(out, cfg, res.trajectory)
     (out / "stabilized.json").write_text(json.dumps({"stabilized": res.stabilized}) + "\n")
     mu = nw.spectrum(net).eigenvalues
     dio.write_columns_csv(out / "spectrum.csv", ["re", "im"], mu.real, mu.imag)
-    return outputs + ["stabilized.json", "spectrum.csv"]
 
 
 def _simulate_kuramoto(config, out, args):
@@ -228,7 +218,6 @@ def _simulate_kuramoto(config, out, args):
         _sim_config(config), seed=config.get("seed", 0), control_on=p.get("control_on", 10.0),
     )
     dio.write_kuramoto_csv(out / "order_parameter.csv", res)
-    return ["order_parameter.csv"]
 
 
 def _simulate_oa(config, out, args):
@@ -237,7 +226,7 @@ def _simulate_oa(config, out, args):
         p["K"], p["d"], complex(*p["L"]), kernel_from_dict(p["kernel"]), cfg,
         r0=complex(*p.get("r0", [0.1, 0.0])), control_on=p.get("control_on"),
     )
-    return _ship(out, cfg, traj)
+    _ship(out, cfg, traj)
 
 
 def _model(optional=(), **params) -> dict:
@@ -262,7 +251,7 @@ _SIMULATE = {
 }
 
 
-def _scalar_heat(config, out, args, re_lim, im_lim, rates) -> List[str]:
+def _scalar_heat(config, out, args, re_lim, im_lim, rates) -> None:
     """rates.csv of a scalar system over a grid of gains: ``rates(gains, cfg)`` gives one rate per gain."""
     nxy = config.get("grid", [41, 41] if args.paper_scale else [21, 21])
     horizon = config.get("horizon", 100.0 if args.paper_scale else 40.0)
@@ -271,17 +260,16 @@ def _scalar_heat(config, out, args, re_lim, im_lim, rates) -> List[str]:
     ys = np.linspace(*im_lim, nxy[1])
     G = xs[None, :] + 1j * ys[:, None]
     dio.write_heat_csv(out / "rates.csv", "im_L", ys, "re_L", xs, rates(G.ravel(), cfg).reshape(G.shape))
-    return ["rates.csv"]
 
 
 def _fig7(config, out, args):
     d = config.get("d", 0.0)
-    return _scalar_heat(config, out, args, (-3.2, 3.2), (-3.2, 3.2),
+    _scalar_heat(config, out, args, (-3.2, 3.2), (-3.2, 3.2),
                         lambda G, cfg: sim.scalar_discrete_rate_grid(1.0, d, G, 0.5, cfg))
 
 
 def _fig9(config, out, args):
-    return _scalar_heat(config, out, args, (-8.0, 2.0), (-5.0, 5.0),
+    _scalar_heat(config, out, args, (-8.0, 2.0), (-5.0, 5.0),
                         lambda G, cfg: sim.scalar_gamma_rate_grid(1.0, G, Gamma(1, 0.5), cfg))
 
 
@@ -295,7 +283,6 @@ def _fig12(config, out, args):
     dio.write_heat_csv(out / "rates.csv", "alpha", alphas, "T", Ts, rates)
     tc = [nw.carfollowing_Tc(n, N, a) for a in alphas]
     dio.write_columns_csv(out / "analytic_Tc.csv", ["alpha", "Tc"], alphas, tc)
-    return ["rates.csv", "analytic_Tc.csv"]
 
 
 def _fig15(config, out, args):
@@ -324,7 +311,6 @@ def _fig15(config, out, args):
         freq[idx] = val
     dio.write_heat_csv(out / "frequency.csv", "alpha", alphas, "T", Ts, freq)
     dio.write_columns_csv(out / "analytic_alpha_c.csv", ["T", "alpha_c"], Ts, ac)
-    return ["frequency.csv", "analytic_alpha_c.csv"]
 
 
 # fig16 cases: coupling C, S, frequency centre d and pairwise delays
@@ -337,10 +323,7 @@ def _fig16(config, out, args):
     res = sim.simulate_kuramoto(config.get("N", 200), 4.0, C, S, d, delays, cfg,
                                 seed=config.get("seeds", 42), control_on=10.0, snapshot_every=50)
     dio.write_kuramoto_csv(out / "order_parameter.csv", res)
-    if not res.phases.size:
-        return ["order_parameter.csv"]
     dio.write_phases_csv(out / "phase_snapshots.csv", res.phase_times, res.phases)
-    return ["order_parameter.csv", "phase_snapshots.csv"]
 
 
 _REPRODUCE = {
@@ -365,7 +348,7 @@ def _dispatch(key: str, table: dict):
     """
     def build(config, out, args):
         try:
-            return table[config[key]][1](config, out, args)
+            table[config[key]][1](config, out, args)
         except np.linalg.LinAlgError:
             raise
         except (ValueError, ZeroDivisionError) as e:
@@ -403,7 +386,8 @@ def main(argv=None) -> int:
         return 2
     try:
         config, build = _load(args.command, args.config)
-        outputs = build(config, work, args)
+        build(config, work, args)
+        outputs = sorted(p.name for p in work.iterdir())
         dio.write_manifest(work, args.command, config, outputs, time.time() - t0)
         for name in outputs + ["manifest.json"]:
             os.replace(work / name, out / name)

@@ -48,7 +48,7 @@ def write_columns_csv(path: Path, names: Sequence[str], *columns, trailer: Seque
 
 def write_branch_csv(path: Path, branch: SccBranch) -> None:
     write_columns_csv(path, ["beta", "re_L", "im_L", "r", "theta", "theta_prime"], branch.beta,
-                      branch.L.real, branch.L.imag, branch.r, branch.theta, branch.theta_prime)
+                      branch.L.real, branch.L.imag, np.abs(branch.L), branch.theta, branch.theta_prime)
 
 
 def write_numap_csv(path: Path, numap: NuMap) -> None:

@@ -236,7 +236,7 @@ def _ray_crossing(F: CharFun, u: complex) -> float:
     for r in (2.0**k for k in range(60)):
         zeros = curve_zeros(_disk_trace(F, 0.5 * r * u, 0.5 * r), lambda L, Lp: np.imag(np.conj(u) * L))
         ts = [t for br, beta, L in zeros
-              if 0.0 < (t := float(np.real(np.conj(u) * L))) <= r and crossing_at(F, br, beta).jump_ray == 1]
+              if 0.0 < (t := float(np.real(np.conj(u) * L))) <= r and crossing_at(br, beta).jump_ray == 1]
         if ts:
             return min(ts)
     raise RuntimeError(f"no crossing found along the ray up to t = {r:.3g}")

@@ -6,9 +6,10 @@ the root frequency beta through F(i beta, L(beta)) = 0.  At each frequency
 the equation is polynomial in L, so tracing reduces to sweeping beta,
 solving for all roots, and stitching them into branches by nearest-root
 continuation.  Each node carries the curve tangent from implicit
-differentiation and an unwrapped polar profile; crossing reports give the
-direction in which the unstable-root count drops when stepping over the
-curve.
+differentiation and an unwrapped polar profile; one routine (``_geometry``)
+gives every tangent and angular rate, at the nodes and at any curve point.
+Crossing reports give the direction in which the unstable-root count drops
+when stepping over the curve.
 
 Refinement runs level by level.  The base grid is solved in one batch: one
 coefficient table ``CharFun.lpoly`` over all its frequencies, one stacked
@@ -77,18 +78,15 @@ class SccBranch:
     Arrays are indexed by node, betas ascending.  ``tangent`` holds dL/dbeta
     from the implicit formula (NaN where the L-derivative of F vanishes);
     ``theta`` is the unwrapped argument of L and ``theta_prime`` its analytic
-    derivative Im(L'/L).  ``polar_ok`` is False where |L| is too small for
-    polar coordinates to mean anything.
+    derivative Im(L'/L), NaN also where |L| is too small for polar
+    coordinates to mean anything.
     """
 
     beta: np.ndarray
     L: np.ndarray
     tangent: np.ndarray
-    r: np.ndarray
     theta: np.ndarray
     theta_prime: np.ndarray
-    tangent_ok: np.ndarray
-    polar_ok: np.ndarray
     root_index: int
     charfun: Optional[CharFun] = field(default=None, repr=False)
 
@@ -112,15 +110,21 @@ class SccBranch:
 
     def tangent_at(self, beta: float) -> complex:
         """Implicit-formula tangent at an arbitrary beta inside the branch's range."""
-        return _tangent(self.charfun, beta, self.eval(beta))
+        return _geometry(self.charfun, beta, self.eval(beta))[0]
 
 
-def _tangent(F: CharFun, beta: float, L: complex) -> complex:
-    """dL/dbeta = -i F_lam / F_L at the curve point L of frequency beta; NaN where F_L = 0."""
-    dL = F.d_L(1j * beta, L)
-    if dL == 0.0:
-        return complex(np.nan, np.nan)
-    return -1j * F.d_lambda(1j * beta, L) / dL
+def _geometry(F: CharFun, beta, L):
+    """Tangent dL/dbeta = -i F_lam / F_L and angular rate Im(L'/L) at the curve points (beta, L).
+
+    Elementwise on arrays; scalars give scalars.  Both are NaN where F_L = 0,
+    and the rate also where |L| <= ``_POLAR_RADIUS_FLOOR``.
+    """
+    lam, L = 1j * np.asarray(beta, dtype=float), np.asarray(L, dtype=complex)
+    dL = F.d_L(lam, L)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tangent = np.where(dL != 0.0, -1j * F.d_lambda(lam, L) / dL, complex(np.nan, np.nan))
+        rate = np.where(np.abs(L) > _POLAR_RADIUS_FLOOR, np.imag(tangent / L), np.nan)
+    return tangent[()], rate[()]
 
 
 @dataclass
@@ -128,16 +132,15 @@ class CrossingReport:
     """Local crossing data at one point of a branch.
 
     ``normal`` points to the side on which the unstable-root count is lower
-    by one (jump_normal is always -1 across the normal).  ``jump_ray`` is
-    the count change when stepping radially outward from the origin: the
-    sign of theta', or 0 when that derivative is degenerate.  ``flag`` is
-    None for a regular crossing.
+    by one (NaN when no single root crosses smoothly).  ``jump_ray`` is the
+    count change when stepping radially outward from the origin: the sign of
+    theta', or 0 when that derivative is degenerate.  ``flag`` is None for a
+    regular crossing.
     """
 
     beta_star: float
     L_star: complex
     normal: complex
-    jump_normal: Optional[int]
     theta_prime: float
     jump_ray: int
     flag: Optional[str] = None
@@ -373,52 +376,32 @@ def _finalize_branch(F: CharFun, raw: dict) -> SccBranch:
         worst = float(np.max(residual / np.maximum(1.0, F.term_size(lam, L))))
         if worst > _RESIDUAL_TOL:
             raise TraceResidualError(f"branch residual {worst:.3e} of the term size exceeds {_RESIDUAL_TOL:.1e}")
-    dl = F.d_lambda(lam, L)
-    dL = F.d_L(lam, L)
-    tangent_ok = dL != 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tangent = np.where(tangent_ok, -1j * dl / np.where(tangent_ok, dL, 1.0), np.nan + 1j * np.nan)
-    r = np.abs(L)
-    polar_ok = r > _POLAR_RADIUS_FLOOR
-    theta = np.unwrap(np.angle(L))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        theta_prime = np.where(polar_ok & tangent_ok, np.imag(tangent / np.where(polar_ok, L, 1.0)), np.nan)
-    return SccBranch(
-        beta=beta,
-        L=L,
-        tangent=tangent,
-        r=r,
-        theta=theta,
-        theta_prime=theta_prime,
-        tangent_ok=tangent_ok,
-        polar_ok=polar_ok,
-        root_index=raw["slot"],
-        charfun=F,
-    )
+    tangent, theta_prime = _geometry(F, beta, L)
+    return SccBranch(beta=beta, L=L, tangent=tangent, theta=np.unwrap(np.angle(L)), theta_prime=theta_prime,
+                     root_index=raw["slot"], charfun=F)
 
 
-def crossing_at(F: CharFun, branch: SccBranch, beta_star: float) -> CrossingReport:
-    """Crossing-direction report at one branch point.
+def crossing_at(branch: SccBranch, beta_star: float) -> CrossingReport:
+    """Crossing-direction report at one point of a branch, on the branch's characteristic function.
 
     Requires a nonzero lam-derivative of F (otherwise no single root crosses
     smoothly and the report is flagged degenerate with no jump claimed).
     """
-    L_star = branch.eval(beta_star)
-    dl, dL = F.d_lambda(1j * beta_star, L_star), F.d_L(1j * beta_star, L_star)
+    F, L_star = branch.charfun, branch.eval(beta_star)
+    Lp, tp = _geometry(F, beta_star, L_star)
+    dl = F.d_lambda(1j * beta_star, L_star)
     flag = ("regular-crossing hypothesis fails" if abs(dl) <= 1e-12 * max(1.0, abs(L_star))
-            else "tangent undefined" if dL == 0.0 else None)
+            else "tangent undefined" if np.isnan(Lp) else None)
     if flag:
-        return CrossingReport(beta_star, L_star, complex(np.nan), None, float("nan"), 0, flag=flag)
-    Lp = -1j * dl / dL
-    normal = 1j * Lp
-    if abs(L_star) <= _POLAR_RADIUS_FLOOR:
-        return CrossingReport(beta_star, L_star, normal, -1, float("nan"), 0, flag="polar undefined")
-    tp = float(np.imag(Lp / L_star))
+        return CrossingReport(beta_star, L_star, complex(np.nan), float("nan"), 0, flag=flag)
+    normal, tp = 1j * Lp, float(tp)
+    if np.isnan(tp):
+        return CrossingReport(beta_star, L_star, normal, tp, 0, flag="polar undefined")
     # a vanishing angular rate (to rounding) means the ray grazes the curve:
     # no jump direction may be claimed
     if abs(tp) <= 1e-12 * max(1.0, abs(Lp / L_star)):
-        return CrossingReport(beta_star, L_star, normal, -1, tp, 0, flag="ray degenerate")
-    return CrossingReport(beta_star, L_star, normal, -1, tp, int(np.sign(tp)))
+        return CrossingReport(beta_star, L_star, normal, tp, 0, flag="ray degenerate")
+    return CrossingReport(beta_star, L_star, normal, tp, int(np.sign(tp)))
 
 
 def _cross(a, b):
@@ -494,7 +477,7 @@ def _newton_pair(bA: SccBranch, beta1: float, bB: SccBranch, beta2: float):
         g = L1 - L2
         if abs(g) < 1e-12 * max(1.0, abs(L1)):
             return beta1, beta2, L1, L2
-        t1, t2 = _tangent(bA.charfun, beta1, L1), _tangent(bB.charfun, beta2, L2)
+        t1, t2 = _geometry(bA.charfun, beta1, L1)[0], _geometry(bB.charfun, beta2, L2)[0]
         if not (np.isfinite(t1) and np.isfinite(t2)):
             return None
         det = _cross(t1, t2)
@@ -532,7 +515,7 @@ def _regula_falsi(br: SccBranch, g, i: int) -> Tuple[float, complex]:
         if not b0 < b < b1:
             break
         L = complex(br.eval(b))
-        gb = float(g(L, _tangent(br.charfun, b, L)))
+        gb = float(g(L, _geometry(br.charfun, b, L)[0]))
         best = min(best, (abs(gb), b, L), key=lambda x: x[0])
         if (gb > 0.0) == (g1 > 0.0):
             b1, g1, g0, kept = b, gb, 0.5 * g0 if kept == -1 else g0, -1

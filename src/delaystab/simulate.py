@@ -571,6 +571,7 @@ def mas_ensemble(
     """
     Js = np.asarray(Js, dtype=float)
     S, N, _ = Js.shape
+    _mas_field(a, b, k1, k2, T, Js)  # rejects a bad delay before any decomposition, also for an empty stack
     x0, v0 = _mas_initial(cfg, S, N)
     thr = _mas_threshold(np.linalg.norm(np.concatenate([x0, v0], axis=1), axis=1))
     n_steps = _n_steps(cfg.horizon, cfg.dt)
@@ -614,7 +615,6 @@ def simulate_kuramoto(
     *,
     control_on: float = 10.0,
     snapshot_every: int = 0,
-    phase_shift: float = 0.0,
 ) -> KuramotoResult:
     """Globally coupled phase oscillators with delayed pairwise feedback.
 
@@ -635,7 +635,7 @@ def simulate_kuramoto(
     if N < 2:
         raise ValueError("need at least two oscillators")
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, N) + phase_shift
+    theta = rng.uniform(0.0, 2.0 * np.pi, N)
 
     omega = d + np.tan(np.pi * (rng.uniform(size=N) - 0.5))
     extra = 0

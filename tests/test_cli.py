@@ -509,6 +509,38 @@ def test_every_variant_has_a_valid_config_that_validates():
         check(config, cli._COMMANDS[command][0], f"{command} config")
 
 
+_MAP = {"preset": "scalar-discrete", "params": {"a": 1, "d": 0, "tau": 0.5}, "window": [-3.5, 0.5, -2, 2],
+        "resolution": [9, 9]}
+# the exact files each run ships besides manifest.json, as its manifest lists them
+_SHIPPED = [
+    ("scc", {"preset": "growth-feedback", "beta": {"lo": -4, "hi": 4, "step": 0.1}, "window": [-4, 4, -4, 4]}, (),
+     ["branch_000.csv"]),
+    ("scc", {"preset": "drift-difference", "beta": {"lo": -4, "hi": 4, "step": 0.1}}, (),
+     ["branch_000.csv", "branch_001.csv"]),
+    # no term depends on L: no frequency has a crossing point, so no branch
+    ("scc", {"system": {**_SYSTEM, "B": [[[[0.0, 0.0]]]]}, "beta": {"lo": -1, "hi": 1, "step": 0.5}}, (), []),
+    ("numap", _MAP, (), ["boundaries.json", "numap.csv"]),
+    ("numap", _MAP, ("--full-oracle",), ["boundaries.json", "numap.csv"]),
+    *[(command, config, (), ["critical.json"]) for (command, _), config in VALID.items() if command == "critical"],
+    ("reproduce", VALID["reproduce", "fig7-heat"], (), ["rates.csv"]),
+    ("reproduce", VALID["reproduce", "fig9-heat"], (), ["rates.csv"]),
+    ("reproduce", VALID["reproduce", "fig12-heat"], (), ["analytic_Tc.csv", "rates.csv"]),
+    ("reproduce", VALID["reproduce", "fig15-heat"], (), ["analytic_alpha_c.csv", "frequency.csv"]),
+    ("reproduce", VALID["reproduce", "fig16-series"], (), ["order_parameter.csv", "phase_snapshots.csv"]),
+]
+
+
+@pytest.mark.parametrize("command, config, flags, files", _SHIPPED, ids=[
+    "scc-one-branch", "scc-two-branches", "scc-no-branch", "numap", "numap-full-oracle", "critical-carfollowing",
+    "critical-chain", "critical-mas", "critical-alpha_c", "fig7", "fig9", "fig12", "fig15", "fig16"])
+def test_shipped_files_are_the_manifest_outputs(tmp_path, command, config, flags, files):
+    code, out = run(tmp_path, command, config, *flags)
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(files + ["manifest.json"])
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == files
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out_cfg.json"]  # no temp dir left behind
+
+
 def test_schemas_are_valid_json_schemas():
     library = [KERNEL, NETWORK] + [s for _, s in presets._PRESETS.values()]
     for schema in [s for s, _ in cli._COMMANDS.values()] + library:

@@ -11,10 +11,9 @@ from delaystab.simulate import KuramotoResult, Trajectory
 
 def _branch():
     L = np.array([1 + 1j, -0.25 + 0.5j])
-    ok = np.ones(2, dtype=bool)
-    return SccBranch(beta=np.array([-1.0, 1e-3]), L=L, tangent=np.full(2, np.nan + 0j), r=np.array([1.5, 0.5]),
+    return SccBranch(beta=np.array([-1.0, 1e-3]), L=L, tangent=np.full(2, np.nan + 0j),
                      theta=np.array([0.7853981633974483, 2.0344439357957027]), theta_prime=np.array([0.0, -1.5]),
-                     tangent_ok=ok, polar_ok=ok, root_index=0)
+                     root_index=0)
 
 
 def _kuramoto():
@@ -55,8 +54,8 @@ CASES = {
         dio.write_branch_csv,
         (_branch(),),
         "beta,re_L,im_L,r,theta,theta_prime\n"
-        "-1.0,1.0,1.0,1.5,0.7853981633974483,0.0\n"
-        "0.001,-0.25,0.5,0.5,2.0344439357957027,-1.5\n",
+        "-1.0,1.0,1.0,1.4142135623730951,0.7853981633974483,0.0\n"
+        "0.001,-0.25,0.5,0.5590169943749475,2.0344439357957027,-1.5\n",
     ),
     "heat": (
         dio.write_heat_csv,

@@ -46,11 +46,8 @@ def synthetic_circle(beta_hi=4 * np.pi, n=600):
         beta=beta,
         L=L,
         tangent=1j * L,
-        r=np.abs(L),
         theta=np.unwrap(np.angle(L)),
         theta_prime=np.ones(n),
-        tangent_ok=np.ones(n, dtype=bool),
-        polar_ok=np.ones(n, dtype=bool),
         root_index=0,
     )
 
@@ -142,7 +139,7 @@ def test_theta_unwrapped(leaf_branch):
 
 def test_polar_profile_scalar_discrete(leaf_branch):
     F, br = leaf_branch
-    r, tp = br.r, br.theta_prime
+    r, tp = np.abs(br.L), br.theta_prime
     a, tau, d = 1.0, 0.5, 0.0
     expect_tp = tau - a / (a**2 + (br.beta - d) ** 2)
     ok = np.isfinite(tp)
@@ -175,12 +172,11 @@ def test_conjugate_symmetry_real_coefficients(leaf_branch):
 
 
 def test_crossing_report_growth(growth_branch):
-    F, br = growth_branch
-    rep = crossing_at(F, br, 0.0)
+    _, br = growth_branch
+    rep = crossing_at(br, 0.0)
     assert rep.flag is None
     assert rep.L_star == pytest.approx(-1.0, abs=1e-10)
     assert rep.normal == pytest.approx(1j * 0.5j, abs=1e-10)  # i * L'(0)
-    assert rep.jump_normal == -1
     assert rep.theta_prime == pytest.approx(-0.5, abs=1e-10)
     assert rep.jump_ray == -1
 
@@ -190,16 +186,16 @@ def test_crossing_degenerate_flags(leaf_branch):
     # so no regular crossing exists there
     F = presets.scalar_discrete(1.0, 0.0, 1.0)
     brs = trace(F, -6, 6, 0.05, window=(-3, 1, -2, 2))
-    rep = crossing_at(F, brs[0], 0.0)
+    rep = crossing_at(brs[0], 0.0)
     assert rep.flag == "regular-crossing hypothesis fails"
-    assert rep.jump_normal is None
+    assert np.isnan(rep.normal)
     # on the tau = 0.5 leaf, theta' vanishes at beta = 1 while the crossing
     # itself stays regular: the ray rule must refuse to pick a sign
-    Fl, br = leaf_branch
-    rep = crossing_at(Fl, br, 1.0)
+    _, br = leaf_branch
+    rep = crossing_at(br, 1.0)
     assert rep.flag == "ray degenerate"
     assert rep.jump_ray == 0
-    assert rep.jump_normal == -1
+    assert rep.normal == 1j * br.tangent_at(1.0)
 
 
 def test_empirical_normal_and_ray_rules(leaf_branch):
@@ -207,7 +203,7 @@ def test_empirical_normal_and_ray_rules(leaf_branch):
     rng = np.random.default_rng(8)
     betas = rng.uniform(-2.0, 2.0, 20)
     for b in betas:
-        rep = crossing_at(F, br, float(b))
+        rep = crossing_at(br, float(b))
         if rep.flag is not None:
             continue
         n_hat = rep.normal / abs(rep.normal)

@@ -334,15 +334,21 @@ def test_mas_diagonal_decouples_to_membership():
     assert membership(F, -0.5).verdict == "unstable"
 
 
-def test_mas_negative_delay_rejected():
+def test_mas_negative_delay_rejected(monkeypatch):
     cfg = sim.SimConfig(dt=0.01, horizon=10.0, history=sim.UniformHistory(1))
     # -2 I takes the modal path in the ensemble, the defective chain the direct one
+    Js = [-2.0 * np.eye(3)[None], nw.network_matrix(nw.Chain(3, 1.0))[None], np.empty((0, 3, 3))]
+
+    def no_eig(*args):
+        raise AssertionError("a bad delay must be rejected before any decomposition")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
     for T in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="nonnegative"):
             sim.simulate_mas(1.0, 1.0, 1.0, 1.1, T, -2.0 * np.eye(3), cfg)
-        for J in (-2.0 * np.eye(3), nw.network_matrix(nw.Chain(3, 1.0))):
+        for J in Js:
             with pytest.raises(ValueError, match="nonnegative"):
-                sim.mas_ensemble(1.0, 1.0, 1.0, 1.1, T, J[None], cfg)
+                sim.mas_ensemble(1.0, 1.0, 1.0, 1.1, T, J, cfg)
 
 
 def test_mas_zero_noise_random_net():
@@ -484,12 +490,13 @@ def test_kuramoto_sync_level():
     assert tail == pytest.approx(math.sqrt(1 - 2 / 4.0), abs=0.08)
 
 
-def test_kuramoto_rotational_invariance():
+def test_kuramoto_rotational_invariance(monkeypatch):
     cfg = sim.SimConfig(dt=0.01, horizon=5.0)
     shift = 1.2345
     a = sim.simulate_kuramoto(50, 4.0, -2.0, 1.0, 0.5, ("constant", 0.3), cfg, seed=3, control_on=2.0)
-    b = sim.simulate_kuramoto(50, 4.0, -2.0, 1.0, 0.5, ("constant", 0.3), cfg, seed=3, control_on=2.0,
-                              phase_shift=shift)
+    run = sim._kuramoto_run  # the same draws, every initial phase turned by the shift
+    monkeypatch.setattr(sim, "_kuramoto_run", lambda theta, *rest: run(theta + shift, *rest))
+    b = sim.simulate_kuramoto(50, 4.0, -2.0, 1.0, 0.5, ("constant", 0.3), cfg, seed=3, control_on=2.0)
     assert np.max(np.abs(np.abs(b.r) - np.abs(a.r))) < 1e-9
     dphi = np.angle(b.r / a.r)
     assert np.max(np.abs(dphi - shift)) < 1e-9
